@@ -157,6 +157,11 @@ def _number_token(v: float) -> str:
 
 
 def dataset_text(obs: QuantileObservation) -> str:
+    """The dataset CSV for obs; N must be an integer, as read_dataset
+    requires one."""
+    if not obs.n_total.is_integer():
+        raise ValueError(f"a dataset file stores an integer sample size, "
+                         f"got N={obs.n_total!r}")
     meta = f"# meta: N={_number_token(obs.n_total)}"
     if obs.scale_divisor != 1.0:
         meta += f" scale_divisor={_number_token(obs.scale_divisor)}"
@@ -247,7 +252,9 @@ def _obs_payload(obs: QuantileObservation) -> dict:
     return {
         "q": [float(v) for v in obs.q],
         "x": [float(v) for v in obs.x],
-        "n_total": int(obs.n_total),
+        # an integral N is written as an int, so such reports keep their bytes
+        "n_total": (int(obs.n_total) if obs.n_total.is_integer()
+                    else obs.n_total),
         "scale_divisor": float(obs.scale_divisor),
     }
 
@@ -298,7 +305,7 @@ def _parse_obs(payload: dict) -> QuantileObservation:
     return QuantileObservation(
         q=tuple(float(v) for v in payload["q"]),
         x=tuple(float(v) for v in payload["x"]),
-        n_total=int(payload["n_total"]),
+        n_total=float(payload["n_total"]),
         scale_divisor=float(payload["scale_divisor"]),
     )
 

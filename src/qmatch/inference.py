@@ -110,8 +110,17 @@ def build_model(family, obs: QuantileObservation,
                 likelihood_kind: str = "order_statistics",
                 prior: PriorSpec | None = None,
                 sigma_noise: float = 0.05) -> ModelSpec:
-    """ModelSpec factory accepting a family name and defaulting the prior."""
+    """ModelSpec factory accepting a family name and defaulting the prior.
+
+    Observed x outside the family's support are rejected here, where the
+    family, its support and the offending value can all be named.
+    """
     spec = get_family(family) if isinstance(family, str) else family
+    if spec.support == "positive" and not obs.x[0] > 0.0:
+        # x is strictly increasing, so x[0] is the first value outside
+        raise ValueError(
+            f"{spec.name} has support x > 0, but the observed quantile at "
+            f"q = {obs.q[0]!r} is x = {obs.x[0]!r}")
     if prior is None:
         prior = PriorSpec.broad(spec.arity)
     return ModelSpec(family=spec, prior=prior, obs=obs,

@@ -2,8 +2,10 @@
 
 Every quantity here is a plain Monte-Carlo functional of the retained
 draws: the predictive CDF averages F_theta over draws (with pointwise 5/95%
-draw-quantile bands), predictive quantiles invert per draw, and model
-scores summarize the stored per-draw order-statistics log-likelihood.
+draw-quantile bands), predictive quantiles invert each draw's CDF, and
+model scores summarize the stored per-draw order-statistics
+log-likelihood.  Each query evaluates the family's array kernel over all
+draws at once, with the draws' parameter columns as theta.
 
 Scores stay in the units the model was fitted in (median-normalized for
 the salary data); only quantile and sample outputs are de-normalized, via
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import Dist, FamilySpec, get_family
+from .distributions import cdf, get_family, ppf
 from .inference import Diagnostics, ModelSpec, PosteriorDraws, diagnostics
 from .orderstats import QuantileObservation
 
@@ -37,13 +39,8 @@ __all__ = [
 ]
 
 
-def _resolve(family) -> FamilySpec:
-    return get_family(family) if isinstance(family, str) else family
-
-
-def _draw_dists(pd: PosteriorDraws, spec: FamilySpec):
-    for row in pd.draws:
-        yield Dist(spec, tuple(row))
+def _theta_columns(pd: PosteriorDraws) -> tuple[np.ndarray, ...]:
+    return tuple(np.ascontiguousarray(pd.draws.T))
 
 
 @dataclass(frozen=True)
@@ -124,21 +121,23 @@ class FitReport:
 
 
 def predictive_cdf(pd: PosteriorDraws, family, x_grid) -> PredictiveCurve:
-    """Monte-Carlo posterior-predictive CDF over x_grid."""
-    spec = _resolve(family)
+    """Monte-Carlo posterior-predictive CDF over x_grid.
+
+    One grid point at a time over all draws, so memory stays at one value
+    per draw whatever the grid size.
+    """
     grid = np.asarray(x_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("x_grid must be a non-empty 1-D vector")
-    values = np.empty((pd.n_draws, grid.size))
-    for i, d in enumerate(_draw_dists(pd, spec)):
-        cdf = d.cdf
-        values[i] = [cdf(v) for v in grid]
-    return PredictiveCurve(
-        x=grid,
-        mean=values.mean(axis=0),
-        lo=np.quantile(values, 0.05, axis=0),
-        hi=np.quantile(values, 0.95, axis=0),
-    )
+    theta = _theta_columns(pd)
+    mean = np.empty(grid.size)
+    lo = np.empty(grid.size)
+    hi = np.empty(grid.size)
+    for j, x in enumerate(grid):
+        values = cdf(family, theta, x)
+        mean[j] = values.mean()
+        lo[j], hi[j] = np.quantile(values, (0.05, 0.95))
+    return PredictiveCurve(x=grid, mean=mean, lo=lo, hi=hi)
 
 
 def predictive_quantile(pd: PosteriorDraws, family, p: float,
@@ -151,9 +150,7 @@ def predictive_quantile(pd: PosteriorDraws, family, p: float,
     if not scale_divisor > 0.0:
         raise ValueError(f"scale_divisor must be positive, "
                          f"got {scale_divisor!r}")
-    spec = _resolve(family)
-    q = np.fromiter((d.quantile(p) for d in _draw_dists(pd, spec)),
-                    dtype=float, count=pd.n_draws)
+    q = ppf(family, _theta_columns(pd), p)
     return PredictiveQuantile(
         p=p,
         value=float(q.mean()) * scale_divisor,
@@ -164,12 +161,14 @@ def predictive_quantile(pd: PosteriorDraws, family, p: float,
 
 def predictive_sample(pd: PosteriorDraws, family, rng: np.random.Generator,
                       n_per_draw: int = 1) -> np.ndarray:
-    """n_per_draw samples from each retained draw's distribution."""
+    """n_per_draw samples from each retained draw's distribution, draw by
+    draw, by inverse transform on one block of rng's uniforms."""
     if int(n_per_draw) < 1:
         raise ValueError(f"n_per_draw must be >= 1, got {n_per_draw!r}")
-    spec = _resolve(family)
-    chunks = [d.sample(rng, int(n_per_draw)) for d in _draw_dists(pd, spec)]
-    return np.concatenate(chunks)
+    # rng.random() lands in [0, 1); nudge exact zeros as Dist.sample does
+    u = np.maximum(rng.random((pd.n_draws, int(n_per_draw))), 5e-324)
+    theta = tuple(col[:, None] for col in _theta_columns(pd))
+    return ppf(family, theta, u).ravel()
 
 
 def score_model(pd: PosteriorDraws) -> Score:

@@ -6,10 +6,11 @@ no shared code with the likelihood kernels beyond the distribution objects.
 
 Replicates use independent RNG streams seeded by (seed, replicate_index),
 so an ensemble is reproducible row-by-row and insensitive to evaluation
-order.  Where only the k-th order statistic is needed, the generators sort
-uniform draws and push just the selected column through the quantile
-function; that is distribution-identical to sorting the mapped sample
-because the quantile function is monotone.
+order.  The generators sort uniform draws and push them through the
+family's array inverse CDF in one call; where only the k-th order
+statistic is needed, just that column goes through.  That is
+distribution-identical to sorting the mapped sample because the inverse
+CDF is monotone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Dist
+from .distributions import Dist, ppf
 from .orderstats import QuantileObservation
 
 __all__ = [
@@ -104,10 +105,7 @@ def empirical_cdf_ensemble(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     an empirical CDF does reach 1, even though a fit would reject q = 1.
     """
     u = np.sort(_uniform_rows(cfg.seed, cfg.reps, cfg.n_total), axis=1)
-    quantile = cfg.d.quantile
-    flat = np.fromiter((quantile(v) for v in u.ravel()), dtype=float,
-                       count=u.size)
-    values = flat.reshape(cfg.reps, cfg.n_total)
+    values = ppf(cfg.d.spec, cfg.d.theta, u)
     ranks = np.arange(1, cfg.n_total + 1, dtype=float) / cfg.n_total
     return values, ranks
 
@@ -127,5 +125,4 @@ def os_marginal_oracle(d: Dist, n_total: int, k: int, reps: int,
     if int(reps) < 1:
         raise ValueError(f"reps must be >= 1, got {reps!r}")
     u = np.sort(_uniform_rows(seed, int(reps), n_total), axis=1)[:, k - 1]
-    quantile = d.quantile
-    return np.fromiter((quantile(v) for v in u), dtype=float, count=u.size)
+    return ppf(d.spec, d.theta, u)

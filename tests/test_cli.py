@@ -164,6 +164,14 @@ class TestDatasetRoundTrip:
         write_dataset(path, obs)
         assert read_dataset(path) == obs
 
+    def test_non_integer_n_is_refused(self, tmp_path):
+        obs = QuantileObservation(q=(0.5,), x=(1.0,), n_total=100.5)
+        with pytest.raises(ValueError, match="integer sample size.*100.5"):
+            dataset_text(obs)
+        with pytest.raises(ValueError, match="integer"):
+            write_dataset(tmp_path / "bad.csv", obs)
+        assert not (tmp_path / "bad.csv").exists()
+
     def test_meta_line_formats_integers_plainly(self):
         obs = QuantileObservation(q=(0.5,), x=(1.0,), n_total=200,
                                   scale_divisor=7500.0)
@@ -228,6 +236,20 @@ class TestReportRoundTrip:
         np.testing.assert_array_equal(back.draws.log_likelihood,
                                       small_report.draws.log_likelihood)
         assert back.draws.acceptance_rate == small_report.draws.acceptance_rate
+
+    def test_non_integer_n_survives(self, small_report):
+        obs = QuantileObservation(q=small_report.obs.q, x=small_report.obs.x,
+                                  n_total=100.5,
+                                  scale_divisor=small_report.obs.scale_divisor)
+        report = type(small_report)(**{**small_report.__dict__, "obs": obs})
+        text = report_to_json(report)
+        assert '"n_total": 100.5' in text
+        assert report_from_json(text).obs == obs
+        ranked, _, _ = ranking_from_json(ranking_to_json([report]))
+        assert ranked[0].obs == obs
+
+    def test_integral_n_is_written_as_an_int(self, small_report):
+        assert '"n_total": 12918,' in report_to_json(small_report)
 
     def test_serialization_is_idempotent(self, small_report):
         text = report_to_json(small_report)
@@ -394,6 +416,22 @@ class TestCompare:
         assert best == "normal"
         assert [f for f, _ in failures] == ["weibull"]
         assert "weibull" in err
+
+    def test_support_mismatch_names_family_support_and_x(self, tmp_path,
+                                                         capsys):
+        data = tmp_path / "straddle.csv"
+        data.write_text("# meta: N=100\nq,x\n0.25,-0.5\n0.5,0.1\n0.75,0.8\n")
+        out = tmp_path / "rank.json"
+        code, _, err = run_cli(
+            ["compare", str(data), "--families", "gamma,normal",
+             "--seed", "3", "--no-draws", "--out", str(out)] + TINY, capsys)
+        assert code == 2
+        _, failures, best = ranking_from_json(out.read_text())
+        assert best == "normal"
+        assert [f for f, _ in failures] == ["gamma"]
+        assert "gamma has support x > 0" in failures[0][1]
+        assert "x = -0.5" in failures[0][1]
+        assert "starting point" not in err
 
     def test_every_family_failing_is_input_error(self, tmp_path, capsys):
         data = tmp_path / "neg.csv"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qmatch.distributions import FAMILY_NAMES, Dist, dist, get_family
+from qmatch.distributions import FAMILY_NAMES, Dist, cdf, dist, get_family, ppf
 
 from helpers import SEEDS, adaptive_simpson, central_diff, ks_distance
 
@@ -186,3 +186,106 @@ class TestSampling:
         assert d.sample(np.random.default_rng(0), 0).size == 0
         with pytest.raises(ValueError):
             d.sample(np.random.default_rng(0), -1)
+
+
+# theta sets per family for the array kernels: the seeded draws plus shapes
+# on both sides of 1 (or df of 2), where densities change behaviour at x = 0
+EDGE_THETAS = {
+    "normal": [(0.0, 1.0), (-3.0, 0.01)],
+    "lognormal": [(0.0, 1.0), (2.0, 0.05)],
+    "weibull": [(0.5, 1.0), (1.0, 2.0), (8.0, 0.3)],
+    "gamma": [(0.3, 1.0), (1.0, 2.0), (40.0, 0.1)],
+    "inv_gamma": [(0.3, 1.0), (1.0, 2.0), (40.0, 0.1)],
+    "frechet": [(0.5, 1.0), (1.0, 2.0), (8.0, 0.3)],
+    "chi_square": [(0.7,), (2.0,), (60.0,)],
+    "exponential": [(0.01,), (1.0,), (50.0,)],
+    "cauchy": [(0.0, 1.0), (4.0, 0.01)],
+}
+
+
+def kernel_thetas(name):
+    seeded = [random_theta(name, np.random.default_rng(s)) for s in SEEDS]
+    return seeded + EDGE_THETAS[name]
+
+
+P_GRID = np.array([1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-10, 1e-5, 0.01,
+                   0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-5, 1.0 - 1e-10,
+                   1.0 - 1e-16])
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+class TestArrayKernels:
+    def test_cdf_matches_scalar(self, name):
+        for th in kernel_thetas(name):
+            d = dist(name, *th)
+            inner = [d.quantile(p)
+                     for p in (1e-12, 0.01, 0.5, 0.99, 1.0 - 1e-12)]
+            x = np.array(inner + [0.0, -1.0, -1e-300, 1e-300, 1e-8,
+                                  1e300, -1e300, th[0]])
+            got = cdf(name, th, x)
+            want = [d.cdf(v) for v in x]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_cdf_over_theta_columns_matches_scalar(self, name):
+        # one call over every theta set, each column broadcast against x
+        thetas = kernel_thetas(name)
+        cols = [np.array(c)[:, None] for c in zip(*thetas)]
+        x = np.linspace(-2.0, 6.0, 17)
+        got = cdf(name, cols, x)
+        assert got.shape == (len(thetas), x.size)
+        for row, th in zip(got, thetas):
+            d = dist(name, *th)
+            np.testing.assert_allclose(row, [d.cdf(v) for v in x],
+                                       rtol=0, atol=1e-14)
+
+    def test_ppf_matches_scipy_and_inverts_cdf(self, name):
+        for th in kernel_thetas(name)[:len(SEEDS)]:
+            got = ppf(name, th, P_GRID)
+            np.testing.assert_allclose(got, SCIPY_EQUIV[name](th).ppf(P_GRID),
+                                       rtol=1e-10, atol=0)
+            assert np.max(np.abs(cdf(name, th, got) - P_GRID)) <= 1e-10
+
+    def test_ppf_inverts_cdf_at_edge_thetas(self, name):
+        for th in EDGE_THETAS[name]:
+            got = ppf(name, th, P_GRID)
+            assert np.all(np.diff(got) >= 0.0)
+            assert np.max(np.abs(cdf(name, th, got) - P_GRID)) <= 1e-10
+
+    def test_quantile_and_sample_go_through_ppf(self, name):
+        th = random_theta(name, np.random.default_rng(SEEDS[0]))
+        d = dist(name, *th)
+        assert d.quantile(0.3) == float(ppf(name, th, 0.3))
+        u = np.maximum(np.random.default_rng(8).random(50), 5e-324)
+        np.testing.assert_array_equal(d.sample(np.random.default_rng(8), 50),
+                                      ppf(name, th, u))
+
+
+class TestArrayKernelShapes:
+    def test_theta_columns_broadcast_against_x(self):
+        mu = np.array([0.0, 1.0, 2.0])[:, None]
+        sg = np.array([1.0, 2.0, 3.0])[:, None]
+        x = np.linspace(-1.0, 1.0, 5)
+        assert cdf("normal", (mu, sg), x).shape == (3, 5)
+        assert cdf("normal", (mu, 1.0), x).shape == (3, 5)
+        assert cdf("normal", (mu.ravel(), sg.ravel()), 0.5).shape == (3,)
+        assert cdf("normal", (0.0, 1.0), 0.5).shape == ()
+        assert ppf("gamma", (mu.ravel() + 1.0, 2.0), 0.5).shape == (3,)
+        u = np.full((3, 4), 0.25)
+        assert ppf("gamma", (mu + 1.0, sg), u).shape == (3, 4)
+        assert ppf("weibull", (2.0, 1.0), np.empty(0)).shape == (0,)
+
+    def test_family_spec_accepted(self):
+        spec = get_family("lognormal")
+        assert cdf(spec, (0.0, 1.0), 1.0) == cdf("lognormal", (0.0, 1.0), 1.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="scale"):
+            cdf("normal", (np.zeros(3), np.array([1.0, -1.0, 1.0])), 0.0)
+        with pytest.raises(ValueError, match="expects 2"):
+            ppf("gamma", (1.0,), 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            cdf("normal", (0.0, 1.0), [0.0, math.inf])
+        with pytest.raises(ValueError, match="p in"):
+            ppf("normal", (0.0, 1.0), [0.5, 1.0])
+        with pytest.raises(ValueError, match="gamma"):
+            cdf("gaussian", (0.0, 1.0), 0.0)

@@ -87,6 +87,19 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="sigma_noise"):
             build_model("gamma", el_obs(), sigma_noise=0.0)
 
+    def test_rejects_x_outside_the_support(self):
+        obs = QuantileObservation(q=(0.25, 0.5, 0.75), x=(-0.5, 0.1, 0.8),
+                                  n_total=100)
+        with pytest.raises(ValueError,
+                           match=r"gamma has support x > 0.*x = -0\.5"):
+            build_model("gamma", obs)
+        zero = QuantileObservation(q=(0.5, 0.75), x=(0.0, 1.0), n_total=100)
+        with pytest.raises(ValueError, match="weibull has support x > 0"):
+            build_model("weibull", zero)
+        # real-line families take any x
+        assert build_model("normal", obs).family.name == "normal"
+        assert build_model("cauchy", obs).family.name == "cauchy"
+
 
 class TestBijection:
     def test_normal_pair(self):
@@ -255,11 +268,13 @@ class TestSamplePosterior:
                     joint_os_loglik(d, obs), rel=1e-12)
 
     def test_unreachable_support_fails_initialization(self):
-        # negative data under a positive-support family: -inf everywhere
+        # negative data under a positive-support family: -inf everywhere;
+        # build_model rejects such data, so the spec is assembled directly
         obs = QuantileObservation(q=(0.25, 0.75), x=(-5.0, -4.0), n_total=50)
+        model = ModelSpec(family=get_family("weibull"),
+                          prior=PriorSpec.broad(2), obs=obs)
         with pytest.raises(RuntimeError, match="starting point"):
-            sample_posterior(build_model("weibull", obs),
-                             SamplerConfig(chains=1))
+            sample_posterior(model, SamplerConfig(chains=1))
 
     def test_stuck_warmup_reports_eta(self, monkeypatch):
         calls = {"n": 0}
@@ -369,8 +384,11 @@ class TestMapEstimate:
             map_estimate(model, restarts=0)
         obs_neg = QuantileObservation(q=(0.25, 0.75), x=(-5.0, -4.0),
                                       n_total=50)
+        # assembled directly: build_model rejects data outside the support
+        unreachable = ModelSpec(family=get_family("weibull"),
+                                prior=PriorSpec.broad(2), obs=obs_neg)
         with pytest.raises(RuntimeError, match="initialization"):
-            map_estimate(build_model("weibull", obs_neg), restarts=2)
+            map_estimate(unreachable, restarts=2)
 
 
 class TestMseFit:

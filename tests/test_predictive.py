@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qmatch.distributions import dist, get_family
+from qmatch.distributions import cdf, dist, get_family
 from qmatch.inference import (
     PosteriorDraws,
     SamplerConfig,
@@ -101,6 +101,23 @@ class TestPredictiveCdf:
         np.testing.assert_allclose(curve.lo, exact, rtol=1e-12)
         np.testing.assert_allclose(curve.hi, exact, rtol=1e-12)
 
+    @pytest.mark.parametrize("fixture", ["el_gamma", "el_chi_square"])
+    def test_column_at_a_time_matches_whole_block(self, fixture, request):
+        # reference: every draw x grid value in one block; the mean is
+        # summed exactly, since a sum down the block's axis 0 rounds worse
+        model, pd = request.getfixturevalue(fixture)
+        family = model.family.name
+        grid = np.linspace(0.05, 4.0, 37)
+        cols = tuple(c[:, None] for c in pd.draws.T)
+        block = cdf(family, cols, grid[None, :])
+        curve = predictive_cdf(pd, family, grid)
+        exact_mean = [math.fsum(col) / pd.n_draws for col in block.T]
+        np.testing.assert_allclose(curve.mean, exact_mean, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(curve.lo, np.quantile(block, 0.05, axis=0),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(curve.hi, np.quantile(block, 0.95, axis=0),
+                                   rtol=0, atol=1e-15)
+
     def test_rejects_bad_grid(self, el_gamma):
         _, pd = el_gamma
         with pytest.raises(ValueError):
@@ -135,6 +152,19 @@ class TestPredictiveQuantile:
         assert scaled.value == base.value * 7500.0
         assert scaled.lo == base.lo * 7500.0
         assert scaled.hi == base.hi * 7500.0
+
+    def test_matches_per_draw_quantiles(self, el_chi_square):
+        _, pd = el_chi_square
+        q = np.array([dist("chi_square", *row).quantile(0.9)
+                      for row in pd.draws[:500]])
+        part = PosteriorDraws(draws=pd.draws[:500], chain_id=pd.chain_id[:500],
+                              log_likelihood=pd.log_likelihood[:500],
+                              seed=pd.seed, warmup=pd.warmup,
+                              acceptance_rate=pd.acceptance_rate)
+        pq = predictive_quantile(part, "chi_square", 0.9)
+        assert pq.value == pytest.approx(q.mean(), rel=1e-15)
+        assert pq.lo == np.quantile(q, 0.05)
+        assert pq.hi == np.quantile(q, 0.95)
 
     def test_single_draw_is_exact_quantile(self):
         pd = single_draw_pd((2.0, 1.3))
@@ -178,6 +208,19 @@ class TestPredictiveSample:
         curve = predictive_cdf(pd, "gamma", grid)
         ecdf = np.searchsorted(samples, grid, side="right") / samples.size
         assert np.max(np.abs(ecdf - curve.mean)) < 0.02
+
+    def test_matches_per_draw_sampling(self, el_gamma):
+        # reference: one Dist.sample call per draw on the same stream
+        _, pd = el_gamma
+        part = PosteriorDraws(draws=pd.draws[:300], chain_id=pd.chain_id[:300],
+                              log_likelihood=pd.log_likelihood[:300],
+                              seed=pd.seed, warmup=pd.warmup,
+                              acceptance_rate=pd.acceptance_rate)
+        got = predictive_sample(part, "gamma", np.random.default_rng(3), 2)
+        rng = np.random.default_rng(3)
+        want = np.concatenate([dist("gamma", *row).sample(rng, 2)
+                               for row in part.draws])
+        np.testing.assert_array_equal(got, want)
 
     def test_single_draw_sampling_is_iid(self):
         pd = single_draw_pd((2.0, 1.3))

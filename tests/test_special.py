@@ -1,16 +1,27 @@
-"""Accuracy tests for the in-repo special functions.
+"""Accuracy tests for the special functions.
 
-mpmath (50-digit working precision) is the primary oracle; the standard
-library's libm-backed math.lgamma / math.erf serve as an independent
-cross-check at slightly looser tolerance.
+mpmath (50-digit working precision) is the oracle; the standard library's
+math.lgamma / math.erf back the thin wrappers and serve as a cross-check.
+The array functions are held to the same mpmath grids as the scalar ones.
 """
 
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from qmatch.special import erf, erfc, gamma_p, gamma_q, log_beta, log_gamma
+from qmatch.special import (
+    erf,
+    erfc,
+    gamma_p,
+    gamma_pq,
+    gamma_pq_inverse,
+    gamma_q,
+    log_beta,
+    log_gamma,
+    std_normal_ppf,
+)
 
 mpmath.mp.dps = 50
 
@@ -72,11 +83,47 @@ class TestIncompleteGamma:
         assert rel_err(gamma_p(a, x), want_p) < 1e-12 or abs(gamma_p(a, x) - want_p) < 1e-15
         assert rel_err(gamma_q(a, x), want_q) < 1e-12 or abs(gamma_q(a, x) - want_q) < 1e-15
 
+    def test_array_matches_mpmath_on_the_same_grid(self):
+        # the whole grid of test_against_mpmath in one call, plus deep tails
+        a = np.array([0.5, 1.0, 2.5, 10.0, 100.0, 1000.0])[:, None]
+        xf = np.array([0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0])
+        a, x = np.broadcast_arrays(a, a * xf)
+        a = np.append(a.ravel(), [2.0, 0.5, 30.0])
+        x = np.append(x.ravel(), [200.0, 300.0, 1e-3])
+        got_p, got_q = gamma_pq(a, x)
+        for i in range(a.size):
+            want_p = float(mpmath.gammainc(a[i], 0, x[i], regularized=True))
+            want_q = float(mpmath.gammainc(a[i], x[i], mpmath.inf,
+                                           regularized=True))
+            assert rel_err(got_p[i], want_p) < 1e-12 or \
+                abs(got_p[i] - want_p) < 1e-15
+            assert rel_err(got_q[i], want_q) < 1e-12 or \
+                abs(got_q[i] - want_q) < 1e-15
+
+    def test_array_matches_scalar(self):
+        rng = np.random.default_rng(3)
+        a = np.exp(rng.uniform(math.log(0.05), math.log(2000.0), 400))
+        x = a * np.exp(rng.uniform(-5.0, 3.0, 400))
+        x[:5] = 0.0
+        x[5:10] = math.inf
+        p, q = gamma_pq(a, x)
+        np.testing.assert_allclose(
+            p, [gamma_p(ai, xi) for ai, xi in zip(a, x)], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            q, [gamma_q(ai, xi) for ai, xi in zip(a, x)], rtol=0, atol=1e-15)
+
+    def test_array_broadcasts_and_keeps_shape(self):
+        p, q = gamma_pq(np.array([[1.0], [2.0]]), np.array([0.5, 1.0, 3.0]))
+        assert p.shape == q.shape == (2, 3)
+        assert gamma_pq(2.0, 1.0)[0].shape == ()
+        assert gamma_pq(np.empty(0), 1.0)[0].shape == (0,)
+
     def test_deep_tails_keep_relative_accuracy(self):
         # the far upper tail must not be computed as 1 - P
         got = gamma_q(2.0, 200.0)
         want = float(mpmath.gammainc(2.0, 200.0, mpmath.inf, regularized=True))
         assert rel_err(got, want) < 1e-12
+        assert rel_err(gamma_pq(2.0, 200.0)[1], want) < 1e-12
 
     def test_complementarity(self):
         for a in (0.3, 1.0, 7.7):
@@ -122,3 +169,64 @@ class TestErf:
         assert erfc(float("-inf")) == 2.0
         with pytest.raises(ValueError):
             erf(float("nan"))
+        with pytest.raises(ValueError):
+            erfc(float("nan"))
+
+
+def _mp_normal_ppf(p):
+    # the root of ln Phi(v) = ln(tail) at 50 digits, on the smaller tail
+    tail = mpmath.mpf(p) if p < 0.5 else 1 - mpmath.mpf(p)
+    v = mpmath.findroot(
+        lambda v: mpmath.log(mpmath.ncdf(v)) - mpmath.log(tail),
+        -mpmath.sqrt(-2 * mpmath.log(tail)))
+    return float(v if p < 0.5 else -v)
+
+
+class TestStdNormalPpf:
+    # both tails, and both sides of the 0.425 and 5.0 branch points of AS241
+    PS = (1e-300, 1e-200, 1e-100, 1e-20, 1e-10, 1e-5, 0.001, 0.02, 0.0749,
+          0.075, 0.0751, 0.3, 0.4999, 0.5001, 0.7, 0.925, 0.9999,
+          1.0 - 1e-10, 1.0 - 2.0 ** -53)
+
+    def test_against_mpmath(self):
+        got = std_normal_ppf(np.array(self.PS))
+        for p, z in zip(self.PS, got):
+            assert rel_err(z, _mp_normal_ppf(p)) < 1e-15
+
+    def test_center_and_symmetry(self):
+        assert std_normal_ppf(0.5) == 0.0
+        # levels whose complement is exact in binary
+        for p in (2.0 ** -50, 2.0 ** -20, 0.125, 0.25, 0.375):
+            assert std_normal_ppf(p) == -std_normal_ppf(1.0 - p)
+
+
+class TestGammaInverse:
+    @pytest.mark.parametrize("a", [0.05, 0.5, 1.0, 3.7, 50.0, 1000.0])
+    def test_inverts_both_tails(self, a):
+        ps = np.array([1e-300, 1e-100, 1e-10, 0.01, 0.3, 0.5, 0.7, 0.99,
+                       1.0 - 1e-10])
+        qs = 1.0 - ps
+        t = gamma_pq_inverse(a, ps, qs)
+        p_got, q_got = gamma_pq(a, t)
+        small = np.minimum(ps, qs)
+        got = np.where(ps <= qs, p_got, q_got)
+        # relative on the smaller tail, unless the root underflowed to 0
+        ok = (np.abs(got - small) <= 1e-10 * small) | (t == 0.0)
+        assert ok.all(), (t, got, small)
+        # a root of 0 is only right when even the smallest double overshoots
+        assert (gamma_pq(a, 5e-324)[0] >= ps[t == 0.0]).all()
+
+    def test_upper_tail_is_solved_on_q(self):
+        # with q passed exactly, a root far out in the upper tail is found
+        t = float(gamma_pq_inverse(2.0, 1.0, 1e-300))
+        want = float(mpmath.findroot(
+            lambda v: mpmath.log(mpmath.gammainc(2.0, v, mpmath.inf,
+                                                 regularized=True))
+            - mpmath.log(mpmath.mpf(1e-300)), 700.0))
+        assert rel_err(t, want) < 1e-12
+
+    def test_shapes(self):
+        assert gamma_pq_inverse(2.0, 0.3, 0.7).shape == ()
+        assert gamma_pq_inverse(np.ones((2, 1)), np.full(3, 0.5),
+                                np.full(3, 0.5)).shape == (2, 3)
+        assert gamma_pq_inverse(2.0, np.empty(0), np.empty(0)).shape == (0,)
