@@ -209,6 +209,19 @@ def _emit(obj, indent: int, out: list) -> None:
             _emit(value, indent + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
+    elif (isinstance(obj, np.ndarray) and obj.dtype.kind in "fi"
+          and 1 <= obj.ndim <= 2):
+        # the posterior draws: the same text as the generic branch below,
+        # one join per row instead of one _emit per element
+        token = _float_token if obj.dtype.kind == "f" else str
+        if obj.ndim == 1:
+            out.append("[" + ", ".join(map(token, obj.tolist())) + "]")
+        elif obj.shape[0] == 0:
+            out.append("[]")
+        else:
+            out.append("[\n" + ",\n".join(
+                inner + "[" + ", ".join(map(token, row)) + "]"
+                for row in obj.tolist()) + "\n" + pad + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj)
         if not items:

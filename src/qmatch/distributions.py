@@ -19,7 +19,9 @@ exponential             (rate,)                      > 0
 Conventions: ``log_pdf`` returns ``-inf`` outside the support rather than
 raising, so likelihood code can reject naturally; positive-support families
 evaluated exactly at ``x = 0`` return the limiting value of the log-density
-(finite, ``-inf``, or ``+inf`` for shape < 1 where the density diverges).
+(finite, ``-inf``, or ``+inf`` for shape < 1 where the density diverges);
+weibull and frechet take the same limit where a subnormal ``x / scale``
+underflows to 0, as the array kernels and scipy do.
 
 Each family has two kinds of kernel.  The array kernels ``cdf(family,
 theta, x)`` and ``ppf(family, theta, p)`` take one value or numpy array per
@@ -174,14 +176,16 @@ def _weibull_log_pdf(theta, x):
     k, lam = theta
     if x < 0.0:
         return -_INF
-    if x == 0.0:
-        # limit of the density at the support edge
+    r = x / lam
+    if r == 0.0:
+        # limit of the density at the support edge, also taken where a
+        # subnormal x / lam underflows to 0
         if k > 1.0:
             return -_INF
         if k == 1.0:
             return -math.log(lam)
         return _INF
-    lz = math.log(x / lam)
+    lz = math.log(r)
     lt = k * lz
     t = math.exp(lt) if lt < _LOG_EXP_OVERFLOW else _INF
     return math.log(k) - math.log(lam) + (k - 1.0) * lz - t
@@ -189,9 +193,10 @@ def _weibull_log_pdf(theta, x):
 
 def _weibull_cdf(theta, x):
     k, lam = theta
-    if x <= 0.0:
+    r = x / lam
+    if r <= 0.0:    # x <= 0, or a subnormal x / lam underflowed to 0
         return 0.0
-    lt = k * math.log(x / lam)
+    lt = k * math.log(r)
     t = math.exp(lt) if lt < _LOG_EXP_OVERFLOW else _INF
     return -math.expm1(-t)
 
@@ -232,9 +237,10 @@ def _inv_gamma_cdf(theta, x):
 
 def _frechet_log_pdf(theta, x):
     a, s = theta
-    if x <= 0.0:
+    r = x / s
+    if r <= 0.0:    # x <= 0, or a subnormal x / s underflowed to 0
         return -_INF
-    lz = math.log(x / s)
+    lz = math.log(r)
     lt = -a * lz
     t = math.exp(lt) if lt < _LOG_EXP_OVERFLOW else _INF
     return math.log(a) - math.log(s) - (1.0 + a) * lz - t
@@ -242,9 +248,10 @@ def _frechet_log_pdf(theta, x):
 
 def _frechet_cdf(theta, x):
     a, s = theta
-    if x <= 0.0:
+    r = x / s
+    if r <= 0.0:    # x <= 0, or a subnormal x / s underflowed to 0
         return 0.0
-    lt = -a * math.log(x / s)
+    lt = -a * math.log(r)
     t = math.exp(lt) if lt < _LOG_EXP_OVERFLOW else _INF
     return math.exp(-t)
 

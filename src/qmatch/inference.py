@@ -10,6 +10,19 @@ keeping the retained chain a genuine Metropolis chain.
 Priors are Gaussians on the *constrained* parameters (broad by default:
 mean 0, sd 100), so the Jacobian term enters only through the bijection.
 
+The log density is compiled once per fit: ``_log_density(model)`` returns
+a closure from eta, a sequence of plain floats, to (log-posterior,
+log-likelihood).  It calls the family's scalar kernels directly, with the
+prior constants, the order-statistics normalising constant and exponents,
+and the Gaussian-noise constants computed when it is built; per step it
+builds no ``Dist``, makes no ``to_constrained`` call and does no numpy
+work.  It performs the floating-point operations of
+``joint_os_loglik``/``gaussian_noise_loglik`` on a ``Dist`` in the same
+order, so its values equal theirs bit for bit.  ``log_posterior``, the
+sampler and ``map_estimate`` all evaluate the density through it.  The
+sampler records each draw's order-statistics log-likelihood as the chain
+enters the state.
+
 Chains own private RNG streams seeded by (seed, chain_id): results are
 reproducible bit-for-bit and independent of evaluation order.
 """
@@ -21,12 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Dist, FamilySpec, get_family
+from .distributions import _CDF, _LOG_PDF, Dist, FamilySpec, get_family
 from .optimize import nelder_mead
 from .orderstats import (
+    _CDF_CLAMP,
+    _CDF_CLAMP_HI,
     QuantileObservation,
-    gaussian_noise_loglik,
-    joint_os_loglik,
+    _bump_tie_events,
+    _cached_norm_const,
 )
 
 __all__ = [
@@ -207,29 +222,103 @@ def to_constrained(family: FamilySpec, eta) -> tuple[np.ndarray, float]:
     return theta, log_jac
 
 
-def _log_lik(d: Dist, model: ModelSpec) -> float:
-    if model.likelihood_kind == "order_statistics":
-        return joint_os_loglik(d, model.obs)
-    return gaussian_noise_loglik(d, model.obs, model.sigma_noise)
+def _loglik(model: ModelSpec, kind: str):
+    """theta -> the `kind` log-likelihood of model.obs, with theta a
+    sequence of plain floats inside the parameter domains.
+
+    The operations and their order are those of ``joint_os_loglik`` or
+    ``gaussian_noise_loglik`` on ``Dist(model.family, theta)``, so the
+    values agree bit for bit; what does not depend on theta (the kernels,
+    the normalising constant, the exponents) is computed here, once.
+    """
+    cdf = _CDF[model.family.name]
+    log_pdf = _LOG_PDF[model.family.name]
+    obs = model.obs
+    xs = obs.x
+
+    if kind == "gaussian_noise":
+        const = -_HALF_LOG_TWO_PI - math.log(model.sigma_noise)
+        inv_two_var = 0.5 / (model.sigma_noise * model.sigma_noise)
+        pairs = tuple(zip(obs.q, xs))
+
+        def gaussian_noise(theta) -> float:
+            total = 0.0
+            for qm, xm in pairs:
+                r = qm - cdf(theta, xm)
+                total += const - r * r * inv_two_var
+            return total
+
+        return gaussian_noise
+
+    n, q = obs.n_total, obs.q
+    norm = _cached_norm_const(n, q)
+    low = q[0] * n - 1.0                        # k_1 - 1
+    high = n - q[-1] * n                        # N - k_M
+    spacing = tuple((b - a) * n - 1.0 for a, b in zip(q, q[1:]))
+    log, log1p, lo, hi = math.log, math.log1p, _CDF_CLAMP, _CDF_CLAMP_HI
+
+    def order_statistics(theta) -> float:
+        u = [min(max(cdf(theta, v), lo), hi) for v in xs]
+        for a, b in zip(u, u[1:]):
+            if b <= a:
+                _bump_tie_events()
+                return -math.inf
+        total = norm
+        if low != 0.0:          # u is clamped above 0, so the log is finite
+            total += low * log(u[0])
+        if high != 0.0:
+            total += high * log1p(-u[-1])
+        for e, a, b in zip(spacing, u, u[1:]):
+            if e != 0.0:
+                total += e * log(b - a)
+        for v in xs:
+            total += log_pdf(theta, v)
+        return total
+
+    return order_statistics
 
 
-def _theta_log_posterior(model: ModelSpec, eta: np.ndarray) -> float:
-    """log-likelihood + log-prior at to_constrained(eta): the posterior
-    density over theta, which optimization targets; no Jacobian."""
-    theta, _ = to_constrained(model.family, eta)
-    total = 0.0
-    for v, m, s in zip(theta, model.prior.means, model.prior.sds):
-        if v == 0.0 or not math.isfinite(v):
-            return -math.inf   # underflowed or overflowed positive parameter
-        z = (v - m) / s
-        total += -0.5 * z * z - math.log(s) - _HALF_LOG_TWO_PI
-        if total == -math.inf:
-            return -math.inf
-    d = Dist(model.family, tuple(theta))
-    ll = _log_lik(d, model)
-    if ll == -math.inf:
-        return -math.inf
-    return total + ll
+def _log_density(model: ModelSpec, jacobian: bool = True):
+    """Compile the model to log_density(eta) -> (log_post, log_lik).
+
+    eta is a sequence of finite plain floats in sampling space.  log_post
+    is the unnormalized log-posterior: log-likelihood plus log-prior at
+    theta = to_constrained(eta), plus the bijection Jacobian when
+    `jacobian` is set (the MCMC target) and without it otherwise (the
+    theta-space density that optimization targets).  log_lik is the
+    model's own log-likelihood at theta.  Both are -inf, and nothing
+    raises, wherever the density vanishes.
+    """
+    loglik = _loglik(model, model.likelihood_kind)
+    positive = tuple(ps.domain == "positive" for ps in model.family.params)
+    prior = tuple((m, s, math.log(s))
+                  for m, s in zip(model.prior.means, model.prior.sds))
+    exp, isfinite, inf = math.exp, math.isfinite, math.inf
+
+    def log_density(eta):
+        theta = []
+        log_jac = 0.0
+        for e, pos in zip(eta, positive):
+            if pos:
+                e = min(e, _ETA_CAP)
+                log_jac += e
+                e = exp(e)
+            theta.append(e)
+        total = 0.0
+        for v, (m, s, log_s) in zip(theta, prior):
+            if v == 0.0 or not isfinite(v):
+                return -inf, -inf   # underflowed or overflowed parameter
+            z = (v - m) / s
+            total += -0.5 * z * z - log_s - _HALF_LOG_TWO_PI
+            if total == -inf:
+                return -inf, -inf
+        ll = loglik(theta)
+        if ll == -inf:
+            return -inf, ll
+        total += ll
+        return (total + log_jac if jacobian else total), ll
+
+    return log_density
 
 
 def log_posterior(model: ModelSpec, eta) -> float:
@@ -239,31 +328,36 @@ def log_posterior(model: ModelSpec, eta) -> float:
     eta = np.asarray(eta, dtype=float)
     if not np.all(np.isfinite(eta)):
         raise ValueError(f"eta must be finite, got {eta}")
-    value = _theta_log_posterior(model, eta)
-    if value == -math.inf:
-        return -math.inf
-    _, log_jac = to_constrained(model.family, eta)
-    return value + log_jac
+    if eta.shape != (model.family.arity,):
+        raise ValueError(f"family {model.family.name!r} takes "
+                         f"{model.family.arity} parameters, got {eta.shape}")
+    return _log_density(model)(eta.tolist())[0]
 
 
-def _init_chain(model: ModelSpec, rng: np.random.Generator,
-                arity: int) -> tuple[np.ndarray, float]:
-    eta = None
+def _random_start(f, rng: np.random.Generator, arity: int):
+    """The first of up to 100 N(0, 1) draws of eta at which f(eta) is
+    finite, with that value; (the last eta drawn, None) if there is none."""
     for _ in range(100):
-        eta = rng.standard_normal(arity)
-        lp = log_posterior(model, eta)
-        if lp > -math.inf:
-            return eta, lp
-    raise RuntimeError(
-        f"failed to find a finite starting point in 100 tries; last eta "
-        f"= {eta}")
+        eta = rng.standard_normal(arity).tolist()
+        value = f(eta)
+        if math.isfinite(value):
+            return eta, value
+    return eta, None
 
 
-def _run_chain(model: ModelSpec, cfg: SamplerConfig,
-               chain: int) -> tuple[np.ndarray, float]:
-    arity = model.family.arity
+def _run_chain(log_density, arity: int, cfg: SamplerConfig, chain: int):
+    """One chain on private RNG stream (seed, chain).
+
+    Returns the sampling-phase states (samples_per_chain x arity), the
+    rows where the state changed (row 0 first), the log-likelihood of the
+    state entered at each of those rows, and the sampling acceptance rate.
+    """
     rng = np.random.default_rng([cfg.seed, chain])
-    eta, lp = _init_chain(model, rng, arity)
+    eta, lp = _random_start(lambda e: log_density(e)[0], rng, arity)
+    if lp is None:
+        raise RuntimeError(
+            f"failed to find a finite starting point in 100 tries; last eta "
+            f"= {np.asarray(eta)}")
 
     total = cfg.warmup + cfg.samples_per_chain
     z = rng.standard_normal((total, arity))
@@ -272,51 +366,74 @@ def _run_chain(model: ModelSpec, cfg: SamplerConfig,
     step = cfg.initial_step_scale
     width = np.ones(arity)
     target = cfg.target_acceptance
-    warm_buf = np.empty((cfg.warmup, arity))
+    warm = []
     quarter = cfg.warmup // 4
     milestones = {quarter, 2 * quarter, 3 * quarter} - {0}
 
+    # every warmup run accepts at least once (or fails below), so the
+    # state entering the sampling phase always has its ll set here
+    ll = None
     accepted_warm = 0
-    for t in range(cfg.warmup):
-        prop = eta + step * width * z[t]
-        lp_prop = log_posterior(model, prop)
-        accept = lp_prop - lp >= log_u[t]
+    scale = width.tolist()
+    # rows become float lists one at a time, which keeps fewer small
+    # objects alive than converting the whole block
+    for t, (zt, lu) in enumerate(zip(map(np.ndarray.tolist, z[:cfg.warmup]),
+                                     log_u[:cfg.warmup].tolist())):
+        prop = [e + step * w * zi for e, w, zi in zip(eta, scale, zt)]
+        lp_prop, ll_prop = log_density(prop)
+        accept = lp_prop - lp >= lu
         if accept:
-            eta, lp = prop, lp_prop
+            eta, lp, ll = prop, lp_prop, ll_prop
             accepted_warm += 1
-        warm_buf[t] = eta
+        warm.append(eta)
         step *= math.exp((t + 1.0) ** -0.6 * ((1.0 if accept else 0.0) - target))
         if (t + 1) in milestones:
-            sds = np.maximum(warm_buf[: t + 1].std(axis=0), 1e-12)
+            sds = np.maximum(np.array(warm).std(axis=0), 1e-12)
             width = sds / math.exp(float(np.mean(np.log(sds))))
+            scale = width.tolist()
 
     if accepted_warm / cfg.warmup < 1e-3:
         raise RuntimeError(
             f"chain {chain} rejected essentially every warmup proposal "
             f"(acceptance {accepted_warm / cfg.warmup:.2e}); the sampler is "
-            f"stuck at eta = {eta}")
+            f"stuck at eta = {np.asarray(eta)}")
 
-    out = np.empty((cfg.samples_per_chain, arity))
+    # the proposal is frozen from here on: every increment in one expression
+    increments = map(np.ndarray.tolist, step * width * z[cfg.warmup:])
+    out = []
+    rows, lls = [0], [ll]
     accepted = 0
-    for t in range(cfg.warmup, total):
-        prop = eta + step * width * z[t]
-        lp_prop = log_posterior(model, prop)
-        if lp_prop - lp >= log_u[t]:
+    for t, (inc, lu) in enumerate(zip(increments,
+                                      log_u[cfg.warmup:].tolist())):
+        prop = [e + d for e, d in zip(eta, inc)]
+        lp_prop, ll_prop = log_density(prop)
+        if lp_prop - lp >= lu:
             eta, lp = prop, lp_prop
             accepted += 1
-        out[t - cfg.warmup] = eta
-    return out, accepted / cfg.samples_per_chain
+            rows.append(t)
+            lls.append(ll_prop)
+        out.append(eta)
+    if len(rows) > 1 and rows[1] == 0:      # the first proposal was accepted
+        del rows[0], lls[0]
+    return np.array(out), rows, lls, accepted / cfg.samples_per_chain
 
 
 def sample_posterior(model: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
-    """Adaptive random-walk Metropolis, cfg.chains independent chains."""
+    """Adaptive random-walk Metropolis, cfg.chains independent chains.
+
+    Each draw's order-statistics log-likelihood is recorded as the chain
+    enters its state, so a state that repeats is not evaluated again.
+    """
     family = model.family
-    blocks = []
-    rates = []
+    arity = family.arity
+    log_density = _log_density(model)
+    blocks, rates, rows, lls = [], [], [], []
     for chain in range(cfg.chains):
-        etas, rate = _run_chain(model, cfg, chain)
+        etas, moved, ll, rate = _run_chain(log_density, arity, cfg, chain)
         blocks.append(etas)
         rates.append(rate)
+        rows.extend(chain * cfg.samples_per_chain + r for r in moved)
+        lls.extend(ll)
 
     eta_draws = np.vstack(blocks)
     chain_id = np.repeat(np.arange(cfg.chains), cfg.samples_per_chain)
@@ -326,21 +443,47 @@ def sample_posterior(model: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
         col = eta_draws[:, i]
         draws[:, i] = np.exp(col) if ps.domain == "positive" else col
 
-    # per-draw order-statistics loglik; rejected proposals repeat the
-    # previous row, so cache across identical neighbors
-    log_lik = np.empty(draws.shape[0])
-    prev = None
-    prev_val = 0.0
-    for i in range(draws.shape[0]):
-        row = draws[i]
-        if prev is None or not np.array_equal(row, prev):
-            prev_val = joint_os_loglik(Dist(family, tuple(row)), model.obs)
-            prev = row
-        log_lik[i] = prev_val
+    # The order-statistics loglik must be that of the stored draw.  Under
+    # the order-statistics likelihood the chain recorded it at theta =
+    # math.exp(eta), which np.exp may round one ulp differently: evaluate
+    # again only where it did.  Under the Gaussian-noise likelihood it is
+    # evaluated once per state entered.
+    rows = np.array(rows)
+    if model.likelihood_kind == "order_statistics":
+        values = np.array(lls)
+        stale = np.zeros(rows.size, dtype=bool)
+        for i, ps in enumerate(family.params):
+            if ps.domain == "positive":
+                exact = [math.exp(min(e, _ETA_CAP))
+                         for e in eta_draws[rows, i].tolist()]
+                stale |= draws[rows, i] != exact
+    else:
+        values = np.empty(rows.size)
+        stale = np.ones(rows.size, dtype=bool)
+    os_loglik = _loglik(model, "order_statistics")
+    for j in np.flatnonzero(stale):
+        values[j] = os_loglik(draws[rows[j]].tolist())
+    log_lik = np.repeat(values, np.diff(rows, append=draws.shape[0]))
 
     return PosteriorDraws(draws=draws, chain_id=chain_id,
                           log_likelihood=log_lik, seed=cfg.seed,
                           warmup=cfg.warmup, acceptance_rate=tuple(rates))
+
+
+def _minimize(objective, arity: int, restarts: int, seed: int):
+    """Nelder-Mead from `restarts` random starts, start r drawn from RNG
+    stream (seed, r): the best (eta, objective), or (None, inf) when no
+    start had a finite objective."""
+    best_eta, best_val = None, math.inf
+    for r in range(int(restarts)):
+        rng = np.random.default_rng([seed, r])
+        eta0, val0 = _random_start(objective, rng, arity)
+        if val0 is None:
+            continue
+        eta_opt, val = nelder_mead(objective, eta0)
+        if val < best_val:
+            best_eta, best_val = eta_opt, val
+    return best_eta, best_val
 
 
 def map_estimate(model: ModelSpec, restarts: int = 1,
@@ -355,25 +498,13 @@ def map_estimate(model: ModelSpec, restarts: int = 1,
     """
     if int(restarts) < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts!r}")
-    best_eta = None
-    best_val = math.inf
+    log_density = _log_density(model, jacobian=False)
 
     def objective(e):
-        return -_theta_log_posterior(model, np.asarray(e, dtype=float))
+        return -log_density(np.asarray(e, dtype=float).tolist())[0]
 
-    for r in range(int(restarts)):
-        rng = np.random.default_rng([seed, r])
-        eta0 = None
-        for _ in range(100):
-            eta0 = rng.standard_normal(model.family.arity)
-            if math.isfinite(objective(eta0)):
-                break
-        else:
-            continue
-        eta_opt, val = nelder_mead(objective, eta0)
-        if val < best_val:
-            best_eta, best_val = eta_opt, val
-
+    best_eta, best_val = _minimize(objective, model.family.arity, restarts,
+                                   seed)
     if best_eta is None:
         raise RuntimeError(
             f"log posterior was -inf at every initialization "
@@ -402,20 +533,7 @@ def mse_fit(family, obs: QuantileObservation, restarts: int = 1,
         return math.fsum((qm - d.cdf(xm)) ** 2
                          for qm, xm in zip(obs.q, obs.x))
 
-    best_eta = None
-    best_val = math.inf
-    for r in range(int(restarts)):
-        rng = np.random.default_rng([seed, r])
-        eta0 = None
-        for _ in range(100):
-            eta0 = rng.standard_normal(spec.arity)
-            if math.isfinite(objective(eta0)):
-                break
-        else:
-            continue
-        eta_opt, val = nelder_mead(objective, eta0)
-        if val < best_val:
-            best_eta, best_val = eta_opt, val
+    best_eta, _ = _minimize(objective, spec.arity, restarts, seed)
     if best_eta is None:
         raise RuntimeError("objective was non-finite at every initialization")
     theta, _ = to_constrained(spec, best_eta)

@@ -11,6 +11,7 @@ import pytest
 
 from qmatch.dataio import (
     DataError,
+    _dumps,
     dataset_text,
     ranking_from_json,
     ranking_to_json,
@@ -295,6 +296,20 @@ class TestReportRoundTrip:
         text = report_to_json(small_report)
         mean = small_report.params[0].mean
         assert format(mean, ".17g") in text
+
+    @pytest.mark.parametrize("array", [
+        np.array([1.5, math.nan, math.inf, -math.inf, 0.1, -0.0, 5e-324]),
+        np.array([[1.0, math.nan], [math.inf, -2.5], [1e300, -1e-300]]),
+        np.empty(0), np.empty((0, 2)), np.empty((2, 0)),
+        np.arange(5), np.array([], dtype=int), np.arange(6).reshape(2, 3),
+    ])
+    def test_numeric_arrays_emit_as_nested_lists(self, array):
+        # numeric arrays take a joined fast path; the text must equal the
+        # generic path's for the same values given as lists of scalars
+        as_lists = [list(row) for row in array] if array.ndim == 2 \
+            else list(array)
+        assert (_dumps({"a": array, "b": {"c": array}})
+                == _dumps({"a": as_lists, "b": {"c": as_lists}}))
 
 
 class TestRankingRoundTrip:
@@ -692,6 +707,17 @@ class TestDeterminism:
                 + TINY,
                 check=False, capture_output=True)
         assert filecmp.cmp(*outs, shallow=False)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_compare_all_reruns_are_byte_identical(self, tmp_path, el_csv):
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            subprocess.run(
+                [sys.executable, "-m", "qmatch.cli", "compare", el_csv,
+                 "--families", "all", "--seed", "7", "--out", str(out),
+                 "--chains", "2", "--warmup", "200", "--samples", "100"],
+                check=False, capture_output=True)
+        assert len(ranking_from_json(outs[0].read_text())[0]) == 9
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_env_seed_fallback_matches_explicit_flag(self, tmp_path, el_csv,

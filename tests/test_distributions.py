@@ -72,6 +72,18 @@ class TestPinnedValues:
         assert dist("gamma", 0.5, 1).log_pdf(0.0) == math.inf
 
 
+@pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", ["weibull", "frechet"])
+def test_subnormal_x_over_scale_takes_the_support_edge_limit(name, shape):
+    # x / scale underflows to 0: the scalar kernels return the x = 0
+    # limit, as the array cdf and scipy do, instead of a math domain error
+    for scale, x in [(2.0, 5e-324), (1e10, 5e-324), (1e10, 1e-320)]:
+        assert x / scale == 0.0
+        d = dist(name, shape, scale)
+        assert d.log_pdf(x) == SCIPY_EQUIV[name]((shape, scale)).logpdf(x)
+        assert d.cdf(x) == float(cdf(name, (shape, scale), x))
+
+
 class TestValidation:
     def test_bad_theta_rejected(self):
         with pytest.raises(ValueError):

@@ -4,14 +4,17 @@ Statistical assertions run on fixed seeds, so they are deterministic; the
 tolerances were sized from the analytic sampling noise of each statistic.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import qmatch.inference as inference
-from qmatch.distributions import FAMILY_NAMES, dist, get_family
+import qmatch.orderstats as orderstats
+from qmatch.distributions import FAMILY_NAMES, Dist, dist, get_family
 from qmatch.inference import (
+    LIKELIHOOD_KINDS,
     Diagnostics,
     ModelSpec,
     PosteriorDraws,
@@ -207,6 +210,100 @@ class TestLogPosterior:
             log_posterior(model, np.array([math.nan, 0.0]))
 
 
+def composed_log_posterior(model, eta):
+    """The log-posterior assembled from public pieces: to_constrained, the
+    Gaussian prior sum, the likelihood on a Dist, and the Jacobian.
+    Returns (theta-space value, log-Jacobian, log-likelihood), with
+    (-inf, log_jac, None) where the prior already vanishes."""
+    theta, log_jac = to_constrained(model.family, eta)
+    total = 0.0
+    for v, m, s in zip(theta, model.prior.means, model.prior.sds):
+        if v == 0.0 or not math.isfinite(v):
+            return -math.inf, log_jac, None
+        z = (v - m) / s
+        with np.errstate(over="ignore"):    # z * z = inf is the intent
+            total += (-0.5 * z * z - math.log(s)
+                      - 0.5 * math.log(2.0 * math.pi))
+        if total == -math.inf:
+            return -math.inf, log_jac, None
+    d = Dist(model.family, tuple(theta))
+    if model.likelihood_kind == "order_statistics":
+        ll = joint_os_loglik(d, model.obs)
+    else:
+        ll = gaussian_noise_loglik(d, model.obs, model.sigma_noise)
+    if ll == -math.inf:
+        return -math.inf, log_jac, ll
+    return total + ll, log_jac, ll
+
+
+# per component: underflow to theta = 0, tails that tie the CDFs, the bulk,
+# and values above the exp() cap
+ETA_GRID = (-800.0, -40.0, -3.0, -0.5, 0.0, 1.2, 4.0, 40.0, 700.5, 900.0)
+
+
+class TestCompiledDensity:
+    @pytest.mark.parametrize("kind", LIKELIHOOD_KINDS)
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_equals_public_composition_bit_for_bit(self, name, kind):
+        model = build_model(name, el_obs(), likelihood_kind=kind,
+                            sigma_noise=0.07)
+        target = inference._log_density(model)
+        theta_space = inference._log_density(model, jacobian=False)
+        arity = model.family.arity
+        rng = np.random.default_rng(23)
+        etas = ([tuple(rng.standard_normal(arity) * 2.0) for _ in range(60)]
+                + list(itertools.product(ETA_GRID, repeat=arity)))
+        ties = finite = 0
+        for eta in etas:
+            before = orderstats.tie_events
+            try:
+                value, log_jac, ll = composed_log_posterior(model,
+                                                            np.array(eta))
+            except ArithmeticError as exc:
+                # the scalar incomplete gamma fails at a = x ~ 1e17; the
+                # compiled density makes the same calls, so it fails alike
+                with pytest.raises(type(exc)):
+                    target(list(eta))
+                continue
+            tied = orderstats.tie_events - before
+            assert tied in (0, 1)
+            ties += tied
+            lp, lp_ll = target(list(eta))
+            assert orderstats.tie_events - before == 2 * tied
+            lp_theta, _ = theta_space(list(eta))
+            assert orderstats.tie_events - before == 3 * tied
+            if value == -math.inf:
+                assert lp == lp_theta == -math.inf
+                continue
+            finite += 1
+            assert lp == value + log_jac
+            assert lp_theta == value
+            assert lp_ll == ll
+            assert log_posterior(model, np.array(eta)) == lp
+        assert finite >= 30
+        if kind == "order_statistics":
+            assert ties >= 1
+
+    def test_rejections_return_minus_inf(self):
+        # the three rejections the grid above reaches, on one model: a
+        # scale that underflows to 0, one above the exp() cap (exp(900)
+        # would overflow), and a location that ties every CDF at 0
+        density = inference._log_density(build_model("normal", el_obs()))
+        before = orderstats.tie_events
+        assert density([0.0, -800.0]) == (-math.inf, -math.inf)
+        assert density([0.0, 900.0]) == (-math.inf, -math.inf)
+        assert orderstats.tie_events == before
+        assert density([900.0, 0.0]) == (-math.inf, -math.inf)
+        assert orderstats.tie_events == before + 1
+
+    def test_log_posterior_validates_eta(self):
+        model = build_model("gamma", el_obs())
+        with pytest.raises(ValueError, match="finite"):
+            log_posterior(model, np.array([math.inf, 0.0]))
+        with pytest.raises(ValueError, match="takes 2 parameters"):
+            log_posterior(model, np.zeros(3))
+
+
 class TestSamplePosterior:
     def test_figure3_style_credible_intervals_cover_truth(self):
         pd = sample_posterior(build_model("normal", figure3_obs()),
@@ -258,14 +355,14 @@ class TestSamplePosterior:
 
     def test_per_draw_loglik_is_order_statistics_valued(self):
         obs = el_obs()
-        for kind in ("order_statistics", "gaussian_noise"):
+        for name, kind in itertools.product(("gamma", "lognormal"),
+                                            LIKELIHOOD_KINDS):
             pd = sample_posterior(
-                build_model("gamma", obs, likelihood_kind=kind),
-                SamplerConfig(chains=1, warmup=200, samples_per_chain=50))
-            for i in (0, 17, 49):
-                d = dist("gamma", *pd.draws[i])
-                assert pd.log_likelihood[i] == pytest.approx(
-                    joint_os_loglik(d, obs), rel=1e-12)
+                build_model(name, obs, likelihood_kind=kind),
+                SamplerConfig(chains=2, warmup=200, samples_per_chain=300))
+            for i in range(pd.n_draws):
+                d = Dist(get_family(name), tuple(pd.draws[i]))
+                assert pd.log_likelihood[i] == joint_os_loglik(d, obs)
 
     def test_unreachable_support_fails_initialization(self):
         # negative data under a positive-support family: -inf everywhere;
@@ -278,13 +375,18 @@ class TestSamplePosterior:
 
     def test_stuck_warmup_reports_eta(self, monkeypatch):
         calls = {"n": 0}
-        real = inference.log_posterior
+        real = inference._log_density
 
-        def gated(model, eta):
-            calls["n"] += 1
-            return real(model, eta) if calls["n"] == 1 else -math.inf
+        def gated_builder(model, jacobian=True):
+            density = real(model, jacobian)
 
-        monkeypatch.setattr(inference, "log_posterior", gated)
+            def gated(eta):
+                calls["n"] += 1
+                return density(eta) if calls["n"] == 1 else (-math.inf,
+                                                              -math.inf)
+            return gated
+
+        monkeypatch.setattr(inference, "_log_density", gated_builder)
         with pytest.raises(RuntimeError, match="eta"):
             sample_posterior(build_model("gamma", el_obs()),
                              SamplerConfig(chains=1, warmup=100,
