@@ -12,13 +12,11 @@ mean 0, sd 100), so the Jacobian term enters only through the bijection.
 
 The log density is compiled once per fit: ``_log_density(model)`` returns
 a closure from eta, a sequence of plain floats, to (log-posterior,
-log-likelihood).  It calls the family's scalar kernels directly, with the
-prior constants, the order-statistics normalising constant and exponents,
-and the Gaussian-noise constants computed when it is built; per step it
-builds no ``Dist``, makes no ``to_constrained`` call and does no numpy
-work.  It performs the floating-point operations of
-``joint_os_loglik``/``gaussian_noise_loglik`` on a ``Dist`` in the same
-order, so its values equal theirs bit for bit.  ``log_posterior``, the
+log-likelihood).  The likelihood is the closure ``orderstats.
+compile_loglik`` builds, the same code ``joint_os_loglik`` and
+``gaussian_noise_loglik`` run; the prior constants are computed when the
+density is built, so per step it builds no ``Dist``, makes no
+``to_constrained`` call and does no numpy work.  ``log_posterior``, the
 sampler and ``map_estimate`` all evaluate the density through it.  The
 sampler records each draw's order-statistics log-likelihood as the chain
 enters the state.
@@ -34,15 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _CDF, _LOG_PDF, Dist, FamilySpec, get_family
+from .distributions import Dist, FamilySpec, get_family
 from .optimize import nelder_mead
-from .orderstats import (
-    _CDF_CLAMP,
-    _CDF_CLAMP_HI,
-    QuantileObservation,
-    _bump_tie_events,
-    _cached_norm_const,
-)
+from .orderstats import LIKELIHOOD_KINDS, QuantileObservation, compile_loglik
 
 __all__ = [
     "LIKELIHOOD_KINDS",
@@ -60,8 +52,6 @@ __all__ = [
     "mse_fit",
     "diagnostics",
 ]
-
-LIKELIHOOD_KINDS = ("order_statistics", "gaussian_noise")
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 # exp() saturates here; the Gaussian prior has annihilated the posterior
@@ -222,62 +212,6 @@ def to_constrained(family: FamilySpec, eta) -> tuple[np.ndarray, float]:
     return theta, log_jac
 
 
-def _loglik(model: ModelSpec, kind: str):
-    """theta -> the `kind` log-likelihood of model.obs, with theta a
-    sequence of plain floats inside the parameter domains.
-
-    The operations and their order are those of ``joint_os_loglik`` or
-    ``gaussian_noise_loglik`` on ``Dist(model.family, theta)``, so the
-    values agree bit for bit; what does not depend on theta (the kernels,
-    the normalising constant, the exponents) is computed here, once.
-    """
-    cdf = _CDF[model.family.name]
-    log_pdf = _LOG_PDF[model.family.name]
-    obs = model.obs
-    xs = obs.x
-
-    if kind == "gaussian_noise":
-        const = -_HALF_LOG_TWO_PI - math.log(model.sigma_noise)
-        inv_two_var = 0.5 / (model.sigma_noise * model.sigma_noise)
-        pairs = tuple(zip(obs.q, xs))
-
-        def gaussian_noise(theta) -> float:
-            total = 0.0
-            for qm, xm in pairs:
-                r = qm - cdf(theta, xm)
-                total += const - r * r * inv_two_var
-            return total
-
-        return gaussian_noise
-
-    n, q = obs.n_total, obs.q
-    norm = _cached_norm_const(n, q)
-    low = q[0] * n - 1.0                        # k_1 - 1
-    high = n - q[-1] * n                        # N - k_M
-    spacing = tuple((b - a) * n - 1.0 for a, b in zip(q, q[1:]))
-    log, log1p, lo, hi = math.log, math.log1p, _CDF_CLAMP, _CDF_CLAMP_HI
-
-    def order_statistics(theta) -> float:
-        u = [min(max(cdf(theta, v), lo), hi) for v in xs]
-        for a, b in zip(u, u[1:]):
-            if b <= a:
-                _bump_tie_events()
-                return -math.inf
-        total = norm
-        if low != 0.0:          # u is clamped above 0, so the log is finite
-            total += low * log(u[0])
-        if high != 0.0:
-            total += high * log1p(-u[-1])
-        for e, a, b in zip(spacing, u, u[1:]):
-            if e != 0.0:
-                total += e * log(b - a)
-        for v in xs:
-            total += log_pdf(theta, v)
-        return total
-
-    return order_statistics
-
-
 def _log_density(model: ModelSpec, jacobian: bool = True):
     """Compile the model to log_density(eta) -> (log_post, log_lik).
 
@@ -289,7 +223,8 @@ def _log_density(model: ModelSpec, jacobian: bool = True):
     model's own log-likelihood at theta.  Both are -inf, and nothing
     raises, wherever the density vanishes.
     """
-    loglik = _loglik(model, model.likelihood_kind)
+    loglik = compile_loglik(model.family, model.obs, model.likelihood_kind,
+                            model.sigma_noise)
     positive = tuple(ps.domain == "positive" for ps in model.family.params)
     prior = tuple((m, s, math.log(s))
                   for m, s in zip(model.prior.means, model.prior.sds))
@@ -460,7 +395,7 @@ def sample_posterior(model: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
     else:
         values = np.empty(rows.size)
         stale = np.ones(rows.size, dtype=bool)
-    os_loglik = _loglik(model, "order_statistics")
+    os_loglik = compile_loglik(family, model.obs)
     for j in np.flatnonzero(stale):
         values[j] = os_loglik(draws[rows[j]].tolist())
     log_lik = np.repeat(values, np.diff(rows, append=draws.shape[0]))
@@ -468,22 +403,6 @@ def sample_posterior(model: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
     return PosteriorDraws(draws=draws, chain_id=chain_id,
                           log_likelihood=log_lik, seed=cfg.seed,
                           warmup=cfg.warmup, acceptance_rate=tuple(rates))
-
-
-def _minimize(objective, arity: int, restarts: int, seed: int):
-    """Nelder-Mead from `restarts` random starts, start r drawn from RNG
-    stream (seed, r): the best (eta, objective), or (None, inf) when no
-    start had a finite objective."""
-    best_eta, best_val = None, math.inf
-    for r in range(int(restarts)):
-        rng = np.random.default_rng([seed, r])
-        eta0, val0 = _random_start(objective, rng, arity)
-        if val0 is None:
-            continue
-        eta_opt, val = nelder_mead(objective, eta0)
-        if val < best_val:
-            best_eta, best_val = eta_opt, val
-    return best_eta, best_val
 
 
 def map_estimate(model: ModelSpec, restarts: int = 1,
@@ -503,8 +422,15 @@ def map_estimate(model: ModelSpec, restarts: int = 1,
     def objective(e):
         return -log_density(np.asarray(e, dtype=float).tolist())[0]
 
-    best_eta, best_val = _minimize(objective, model.family.arity, restarts,
-                                   seed)
+    best_eta, best_val = None, math.inf
+    for r in range(int(restarts)):
+        rng = np.random.default_rng([seed, r])
+        eta0, val0 = _random_start(objective, rng, model.family.arity)
+        if val0 is None:
+            continue
+        eta_opt, val = nelder_mead(objective, eta0)
+        if val < best_val:
+            best_eta, best_val = eta_opt, val
     if best_eta is None:
         raise RuntimeError(
             f"log posterior was -inf at every initialization "
@@ -517,12 +443,14 @@ def mse_fit(family, obs: QuantileObservation, restarts: int = 1,
             seed: int = 0) -> np.ndarray:
     """Least-squares CDF regression: minimize sum_m (q_m - F_theta(x_m))^2.
 
-    Same simplex machinery and restart scheme as map_estimate; coincides
-    with the gaussian_noise maximum under a flat prior, whatever sigma.
+    One Nelder-Mead run, started at the order-statistics posterior mode
+    (``map_estimate`` with `restarts` and `seed`), which sits near the
+    least-squares fit where a random start may stop in a distant local
+    minimum.  Coincides with the gaussian_noise maximum under a flat prior,
+    whatever sigma.
     """
     spec = get_family(family) if isinstance(family, str) else family
-    if int(restarts) < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts!r}")
+    mode, _ = map_estimate(build_model(spec, obs), restarts, seed)
 
     def objective(eta):
         theta, _ = to_constrained(spec, eta)
@@ -533,10 +461,8 @@ def mse_fit(family, obs: QuantileObservation, restarts: int = 1,
         return math.fsum((qm - d.cdf(xm)) ** 2
                          for qm, xm in zip(obs.q, obs.x))
 
-    best_eta, _ = _minimize(objective, spec.arity, restarts, seed)
-    if best_eta is None:
-        raise RuntimeError("objective was non-finite at every initialization")
-    theta, _ = to_constrained(spec, best_eta)
+    eta, _ = nelder_mead(objective, to_unconstrained(spec, mode))
+    theta, _ = to_constrained(spec, eta)
     return theta
 
 

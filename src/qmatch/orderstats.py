@@ -12,9 +12,12 @@ integers are understood through the usual interpolation),
     ln c = ln N! - ln Gamma(k_1) - ln Gamma(N - k_M + 1)
                  - sum_{m=2}^{M} ln Gamma(k_m - k_{m-1}).
 
-``joint_os_loglik`` evaluates exactly that; ``gaussian_noise_loglik`` is the
-CDF-regression baseline that treats the quantile levels as Gaussian
-observations of F_theta(x); ``penalty_curves`` renders both as normalized
+``compile_loglik`` is the one implementation of that likelihood and of the
+CDF-regression baseline, which treats the quantile levels as Gaussian
+observations of F_theta(x).  It computes what does not depend on theta
+once and returns a closure over plain floats; the sampler, ``map_estimate``
+and the public ``joint_os_loglik``/``gaussian_noise_loglik`` on a ``Dist``
+all evaluate that closure.  ``penalty_curves`` renders both as normalized
 one-point likelihood curves for comparing their tail behavior.
 
 Numerical conventions
@@ -41,17 +44,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import Dist
+from .distributions import _CDF, _LOG_PDF, Dist, FamilySpec
 from .special import log_beta, log_gamma
 
 __all__ = [
+    "LIKELIHOOD_KINDS",
     "QuantileObservation",
-    "OrderVector",
     "uniform_os_cdf",
     "uniform_os_logpdf",
     "os_logpdf",
     "log_norm_const",
     "joint_uniform_os_logpdf",
+    "compile_loglik",
     "joint_os_loglik",
     "gaussian_noise_loglik",
     "penalty_curves",
@@ -66,18 +70,16 @@ _CDF_CLAMP = 1e-300
 _CDF_CLAMP_HI = math.nextafter(1.0, 0.0)
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
-# diagnostic counter: number of joint_os_loglik calls rejected on tied CDFs
+LIKELIHOOD_KINDS = ("order_statistics", "gaussian_noise")
+
+# diagnostic counter: number of order-statistics evaluations rejected on
+# tied CDFs
 tie_events: int = 0
 
 
 def reset_tie_events() -> None:
     global tie_events
     tie_events = 0
-
-
-def _bump_tie_events() -> None:
-    global tie_events
-    tie_events += 1
 
 
 @dataclass(frozen=True)
@@ -128,27 +130,6 @@ class QuantileObservation:
     def normalized(self) -> "QuantileObservation":
         """Divide x by scale_divisor (the divisor stays, for de-normalizing)."""
         return replace(self, x=tuple(v / self.scale_divisor for v in self.x))
-
-
-@dataclass(frozen=True)
-class OrderVector:
-    """Real-valued orders k_m = q_m * N, strictly increasing and positive."""
-
-    k: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        k = tuple(float(v) for v in self.k)
-        object.__setattr__(self, "k", k)
-        if len(k) == 0:
-            raise ValueError("OrderVector needs at least one order")
-        if k[0] <= 0.0:
-            raise ValueError(f"orders must be positive, got k_1 = {k[0]!r}")
-        if any(b <= a for a, b in zip(k, k[1:])):
-            raise ValueError(f"orders must be strictly increasing: {k}")
-
-    @classmethod
-    def from_quantiles(cls, q, n_total: float) -> "OrderVector":
-        return cls(tuple(float(v) * float(n_total) for v in q))
 
 
 @lru_cache(maxsize=256)
@@ -232,7 +213,7 @@ def _k_diffs(k: tuple[float, ...]) -> tuple[float, ...]:
 def log_norm_const(n: float, k) -> float:
     """ln of the joint-density normalization constant:
     ln N! - ln Gamma(k_1) - ln Gamma(N - k_M + 1) - sum ln Gamma(k_m - k_{m-1})."""
-    kk = k.k if isinstance(k, OrderVector) else tuple(float(v) for v in k)
+    kk = tuple(float(v) for v in k)
     n = float(n)
     if kk[0] <= 0.0:
         raise ValueError(f"orders must be positive, got k_1 = {kk[0]!r}")
@@ -249,7 +230,7 @@ def joint_uniform_os_logpdf(n: float, k, u) -> float:
     """Joint log-density of M uniform order statistics with real-valued
     orders k at points u; -inf (zero density) off the ordered simplex,
     error on boundary values whose exponent is negative."""
-    kk = k.k if isinstance(k, OrderVector) else tuple(float(v) for v in k)
+    kk = tuple(float(v) for v in k)
     uu = tuple(float(v) for v in u)
     if len(uu) != len(kk):
         raise ValueError(f"dimension mismatch: {len(kk)} orders, {len(uu)} points")
@@ -271,38 +252,75 @@ def _cached_norm_const(n: float, q: tuple[float, ...]) -> float:
     return log_norm_const(n, tuple(v * n for v in q))
 
 
-def joint_os_loglik(d: Dist, obs: QuantileObservation) -> float:
-    """Joint order-statistics log-likelihood of obs under d.
+def compile_loglik(family: FamilySpec, obs: QuantileObservation,
+                   kind: str = "order_statistics",
+                   sigma_noise: float = 0.05):
+    """theta -> the `kind` log-likelihood of obs under `family`, with theta
+    a sequence of plain floats inside the parameter domains.
 
-    Term-for-term this is ``joint_uniform_os_logpdf(N, q*N, F(x)) +
-    sum log f(x_m)`` with the CDF clamp described in the module docstring;
-    tied CDF values return -inf and increment ``tie_events``.
+    "order_statistics" is ``joint_uniform_os_logpdf(N, q*N, F(x)) + sum
+    log f(x_m)`` with the CDF clamp described in the module docstring;
+    tied CDF values give -inf and increment ``tie_events``.
+    "gaussian_noise" is sum_m log N(q_m | F_theta(x_m), sigma_noise^2).
+    What does not depend on theta (the family's scalar kernels, the
+    normalising constant, the exponents, the Gaussian-noise constants) is
+    computed here, once; per call the closure builds no ``Dist`` and does
+    no numpy work.
     """
-    n = obs.n_total
-    q = obs.q
-    x = obs.x
-    cdf = d.cdf
-    log_pdf = d.log_pdf
+    if kind not in LIKELIHOOD_KINDS:
+        raise ValueError(f"likelihood kind must be one of {LIKELIHOOD_KINDS}, "
+                         f"got {kind!r}")
+    cdf = _CDF[family.name]
+    log_pdf = _LOG_PDF[family.name]
+    xs = obs.x
 
-    u = [min(max(cdf(v), _CDF_CLAMP), _CDF_CLAMP_HI) for v in x]
-    for a, b in zip(u, u[1:]):
-        if b <= a:
-            _bump_tie_events()
-            return -_INF
+    if kind == "gaussian_noise":
+        const = -_HALF_LOG_TWO_PI - math.log(sigma_noise)
+        inv_two_var = 0.5 / (sigma_noise * sigma_noise)
+        pairs = tuple(zip(obs.q, xs))
 
-    total = _cached_norm_const(n, q)
-    k1 = q[0] * n
-    km = q[-1] * n
-    total += _pow_term(k1 - 1.0, u[0])
-    if n != km:
-        total += (n - km) * math.log1p(-u[-1])
-    for m in range(1, len(u)):
-        e = (q[m] - q[m - 1]) * n - 1.0
-        if e != 0.0:
-            total += e * math.log(u[m] - u[m - 1])
-    for v in x:
-        total += log_pdf(v)
-    return total
+        def gaussian_noise(theta) -> float:
+            total = 0.0
+            for qm, xm in pairs:
+                r = qm - cdf(theta, xm)
+                total += const - r * r * inv_two_var
+            return total
+
+        return gaussian_noise
+
+    n, q = obs.n_total, obs.q
+    norm = _cached_norm_const(n, q)
+    low = q[0] * n - 1.0                        # k_1 - 1
+    high = n - q[-1] * n                        # N - k_M
+    spacing = tuple((b - a) * n - 1.0 for a, b in zip(q, q[1:]))
+    log, log1p, lo, hi = math.log, math.log1p, _CDF_CLAMP, _CDF_CLAMP_HI
+
+    def order_statistics(theta) -> float:
+        global tie_events
+        u = [min(max(cdf(theta, v), lo), hi) for v in xs]
+        for a, b in zip(u, u[1:]):
+            if b <= a:
+                tie_events += 1
+                return -_INF
+        total = norm
+        if low != 0.0:          # u is clamped above 0, so the log is finite
+            total += low * log(u[0])
+        if high != 0.0:
+            total += high * log1p(-u[-1])
+        for e, a, b in zip(spacing, u, u[1:]):
+            if e != 0.0:
+                total += e * log(b - a)
+        for v in xs:
+            total += log_pdf(theta, v)
+        return total
+
+    return order_statistics
+
+
+def joint_os_loglik(d: Dist, obs: QuantileObservation) -> float:
+    """Joint order-statistics log-likelihood of obs under d: the
+    ``compile_loglik`` closure at d.theta."""
+    return compile_loglik(d.spec, obs)(d.theta)
 
 
 def gaussian_noise_loglik(d: Dist, obs: QuantileObservation,
@@ -311,14 +329,7 @@ def gaussian_noise_loglik(d: Dist, obs: QuantileObservation,
     sigma_noise = float(sigma_noise)
     if not sigma_noise > 0.0:
         raise ValueError(f"sigma_noise must be positive, got {sigma_noise!r}")
-    cdf = d.cdf
-    const = -_HALF_LOG_TWO_PI - math.log(sigma_noise)
-    inv_two_var = 0.5 / (sigma_noise * sigma_noise)
-    total = 0.0
-    for qm, xm in zip(obs.q, obs.x):
-        r = qm - cdf(xm)
-        total += const - r * r * inv_two_var
-    return total
+    return compile_loglik(d.spec, obs, "gaussian_noise", sigma_noise)(d.theta)
 
 
 def penalty_curves(d: Dist, q: float, n: float, x_grid,

@@ -5,9 +5,9 @@ per call; array functions serve the posterior-predictive queries and the
 sort-and-pick oracles, which evaluate one family over thousands of
 parameter draws or uniforms at once.
 
-* ``log_gamma``, ``erf``, ``erfc`` -- validated wrappers over the C
-  library's ``lgamma``, ``erf`` and ``erfc`` as exposed by ``math``, so
-  values may differ across platforms in the last bits.
+* ``log_gamma`` -- a validated wrapper over the C library's ``lgamma`` as
+  exposed by ``math``, so values may differ across platforms in the last
+  bits.
 * ``gamma_p`` / ``gamma_q`` -- regularized incomplete gamma via the power
   series for x < a + 1 and the Lentz-evaluated continued fraction otherwise
   (Abramowitz & Stegun 6.5.29 / 6.5.31), so both tails keep full relative
@@ -36,8 +36,6 @@ __all__ = [
     "gamma_q",
     "gamma_pq",
     "gamma_pq_inverse",
-    "erf",
-    "erfc",
     "std_normal_ppf",
 ]
 
@@ -65,20 +63,6 @@ def log_gamma(z: float) -> float:
 def log_beta(a: float, b: float) -> float:
     """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b), for a, b > 0."""
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
-
-
-def erf(x: float) -> float:
-    """Error function; NaN is rejected."""
-    if math.isnan(x):
-        raise ValueError("erf requires a non-NaN argument")
-    return math.erf(x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x); NaN is rejected."""
-    if math.isnan(x):
-        raise ValueError("erfc requires a non-NaN argument")
-    return math.erfc(x)
 
 
 def _p_series(a: float, x: float) -> float:

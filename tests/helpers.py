@@ -1,4 +1,5 @@
-"""Shared oracles for the test suite: quadrature, KS distance, seed matrix."""
+"""Shared oracles for the test suite: quadrature, KS distance, seed matrix,
+and reference likelihoods."""
 
 from __future__ import annotations
 
@@ -92,3 +93,73 @@ def nested_gl_mass(n, k, nodes=48):
         return total * width
 
     return level(0, 0.0, ())
+
+
+# -- reference likelihoods ----------------------------------------------------
+# Plain evaluations on a Dist, written out independently of
+# orderstats.compile_loglik, so tests can hold the compiled closure to them
+# bit for bit.
+
+_CDF_CLAMP = 1e-300
+_CDF_CLAMP_HI = math.nextafter(1.0, 0.0)
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _pow_term(e, v):
+    if e == 0.0:
+        return 0.0
+    if v <= 0.0:
+        if e > 0.0:
+            return -math.inf
+        raise ValueError(
+            f"density diverges: boundary value with negative exponent {e}"
+        )
+    return e * math.log(v)
+
+
+def reference_joint_os_loglik(d, obs):
+    """Joint order-statistics log-likelihood of obs under d, with the
+    package's CDF clamp; tied CDF values return -inf and increment
+    ``orderstats.tie_events``."""
+    from qmatch import orderstats
+
+    n = obs.n_total
+    q = obs.q
+    x = obs.x
+    cdf = d.cdf
+    log_pdf = d.log_pdf
+
+    u = [min(max(cdf(v), _CDF_CLAMP), _CDF_CLAMP_HI) for v in x]
+    for a, b in zip(u, u[1:]):
+        if b <= a:
+            orderstats.tie_events += 1
+            return -math.inf
+
+    total = orderstats.log_norm_const(n, tuple(v * n for v in q))
+    k1 = q[0] * n
+    km = q[-1] * n
+    total += _pow_term(k1 - 1.0, u[0])
+    if n != km:
+        total += (n - km) * math.log1p(-u[-1])
+    for m in range(1, len(u)):
+        e = (q[m] - q[m - 1]) * n - 1.0
+        if e != 0.0:
+            total += e * math.log(u[m] - u[m - 1])
+    for v in x:
+        total += log_pdf(v)
+    return total
+
+
+def reference_gaussian_noise_loglik(d, obs, sigma_noise):
+    """CDF-regression baseline: sum_m log N(q_m | F_theta(x_m), sigma_noise^2)."""
+    sigma_noise = float(sigma_noise)
+    if not sigma_noise > 0.0:
+        raise ValueError(f"sigma_noise must be positive, got {sigma_noise!r}")
+    cdf = d.cdf
+    const = -_HALF_LOG_TWO_PI - math.log(sigma_noise)
+    inv_two_var = 0.5 / (sigma_noise * sigma_noise)
+    total = 0.0
+    for qm, xm in zip(obs.q, obs.x):
+        r = qm - cdf(xm)
+        total += const - r * r * inv_two_var
+    return total

@@ -29,14 +29,11 @@ from qmatch.inference import (
     to_constrained,
     to_unconstrained,
 )
-from qmatch.orderstats import (
-    QuantileObservation,
-    gaussian_noise_loglik,
-    joint_os_loglik,
-)
+from qmatch.orderstats import QuantileObservation
 from qmatch.simulation import SimConfig, simulate_quantile_data
 
-from helpers import SEEDS
+from helpers import (SEEDS, reference_gaussian_noise_loglik,
+                     reference_joint_os_loglik)
 
 
 def el_obs() -> QuantileObservation:
@@ -146,7 +143,7 @@ class TestLogPosterior:
         eta = np.array([0.8, -0.7])
         theta, log_jac = to_constrained(model.family, eta)
         d = dist("gamma", *theta)
-        expected = joint_os_loglik(d, model.obs) + log_jac
+        expected = reference_joint_os_loglik(d, model.obs) + log_jac
         for v, s in zip(theta, (100.0, 100.0)):
             expected += -0.5 * (v / s) ** 2 - math.log(s) \
                 - 0.5 * math.log(2 * math.pi)
@@ -158,7 +155,7 @@ class TestLogPosterior:
         eta = np.array([2.5, 0.3])
         theta, log_jac = to_constrained(model.family, eta)
         d = dist("normal", *theta)
-        base = gaussian_noise_loglik(d, model.obs, 0.07) + log_jac
+        base = reference_gaussian_noise_loglik(d, model.obs, 0.07) + log_jac
         for v in theta:
             base += -0.5 * (v / 100.0) ** 2 - math.log(100.0) \
                 - 0.5 * math.log(2 * math.pi)
@@ -211,8 +208,9 @@ class TestLogPosterior:
 
 
 def composed_log_posterior(model, eta):
-    """The log-posterior assembled from public pieces: to_constrained, the
-    Gaussian prior sum, the likelihood on a Dist, and the Jacobian.
+    """The log-posterior assembled from independent pieces: to_constrained,
+    the Gaussian prior sum, the reference likelihood on a Dist, and the
+    Jacobian.
     Returns (theta-space value, log-Jacobian, log-likelihood), with
     (-inf, log_jac, None) where the prior already vanishes."""
     theta, log_jac = to_constrained(model.family, eta)
@@ -228,9 +226,9 @@ def composed_log_posterior(model, eta):
             return -math.inf, log_jac, None
     d = Dist(model.family, tuple(theta))
     if model.likelihood_kind == "order_statistics":
-        ll = joint_os_loglik(d, model.obs)
+        ll = reference_joint_os_loglik(d, model.obs)
     else:
-        ll = gaussian_noise_loglik(d, model.obs, model.sigma_noise)
+        ll = reference_gaussian_noise_loglik(d, model.obs, model.sigma_noise)
     if ll == -math.inf:
         return -math.inf, log_jac, ll
     return total + ll, log_jac, ll
@@ -362,7 +360,8 @@ class TestSamplePosterior:
                 SamplerConfig(chains=2, warmup=200, samples_per_chain=300))
             for i in range(pd.n_draws):
                 d = Dist(get_family(name), tuple(pd.draws[i]))
-                assert pd.log_likelihood[i] == joint_os_loglik(d, obs)
+                assert (pd.log_likelihood[i]
+                        == reference_joint_os_loglik(d, obs))
 
     def test_unreachable_support_fails_initialization(self):
         # negative data under a positive-support family: -inf everywhere;
@@ -525,6 +524,22 @@ class TestMseFit:
     def test_restarts_validation(self):
         with pytest.raises(ValueError):
             mse_fit("normal", el_obs(), restarts=0)
+
+    @pytest.mark.parametrize("seed", (26, 55, 125, 128, 129, 136, 142))
+    def test_fit_beats_the_generator(self, seed):
+        # seeds whose N(0, 1) start once stopped in a local minimum with
+        # residual 2.4-3.3, against the generator's 0.051
+        q = tuple(np.linspace(0.05, 0.95, 10))
+        obs = simulate_quantile_data(SimConfig(
+            d=dist("normal", 3.0, 1.5), n_total=50, q=q, seed=1898982336))
+
+        def residual(theta):
+            d = dist("normal", *theta)
+            return math.fsum((qm - d.cdf(xm)) ** 2
+                             for qm, xm in zip(obs.q, obs.x))
+
+        theta = mse_fit("normal", obs, seed=seed)
+        assert residual(theta) <= residual((3.0, 1.5))
 
 
 def synthetic_pd(gen, draws_per_chain, chains=4):

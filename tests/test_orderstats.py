@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from qmatch.distributions import dist
 from qmatch.orderstats import (
-    OrderVector,
     QuantileObservation,
     gaussian_noise_loglik,
     joint_os_loglik,
@@ -75,21 +74,6 @@ class TestQuantileObservation:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             QuantileObservation(**kwargs)
-
-
-class TestOrderVector:
-    def test_from_quantiles(self):
-        ov = OrderVector.from_quantiles((0.25, 0.5, 0.75), 8)
-        assert ov.k == (2.0, 4.0, 6.0)
-
-    def test_fractional_orders_allowed(self):
-        ov = OrderVector.from_quantiles((0.1, 0.9), 7)
-        assert ov.k == pytest.approx((0.7, 6.3))
-
-    @pytest.mark.parametrize("k", [(), (0.0, 1.0), (-1.0,), (2.0, 2.0), (3.0, 1.0)])
-    def test_rejects_invalid(self, k):
-        with pytest.raises(ValueError):
-            OrderVector(k)
 
 
 class TestUniformOsCdf:
@@ -206,10 +190,6 @@ class TestLogNormConst:
         assert log_norm_const(20, (5.0,)) == pytest.approx(
             -log_beta(5.0, 16.0), rel=1e-12)
 
-    def test_accepts_order_vector(self):
-        ov = OrderVector((2.0, 4.0))
-        assert log_norm_const(5, ov) == log_norm_const(5, (2.0, 4.0))
-
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
             log_norm_const(5, (0.0, 2.0))
@@ -298,7 +278,7 @@ class TestJointOsLoglik:
         obs = QuantileObservation(q=(0.25, 0.5, 0.75), x=(-0.7, 0.2, 1.1),
                                   n_total=40)
         u = tuple(d.cdf(v) for v in obs.x)
-        k = OrderVector.from_quantiles(obs.q, obs.n_total)
+        k = tuple(v * obs.n_total for v in obs.q)
         expected = joint_uniform_os_logpdf(obs.n_total, k, u)
         expected += sum(d.log_pdf(v) for v in obs.x)
         assert joint_os_loglik(d, obs) == pytest.approx(expected, rel=1e-13)
