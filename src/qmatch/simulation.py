@@ -16,6 +16,7 @@ CDF is monotone.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +92,67 @@ def simulate_quantile_data(cfg: SimConfig) -> QuantileObservation:
     return QuantileObservation(q=cfg.q, x=x, n_total=cfg.n_total)
 
 
+_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_CHUNK = 4096  # rows hashed per pass; bounds the Python ints alive at once
+
+
+def _pcg64_states(seed: int, reps: int):
+    """Yield (state, inc) of PCG64(SeedSequence([seed, i])) for i < reps.
+
+    SeedSequence hashes every entropy vector with the same constants, so
+    the hash runs over numpy uint32 columns, a chunk of rows at a time;
+    building a SeedSequence and a generator per row took most of the
+    oracle's time.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> b & _M32 for b in range(0, seed.bit_length() or 1, 32)]
+    for start in range(0, reps, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, reps), dtype=np.uint32)
+        ent = [np.full(i.size, w, np.uint32) for w in words] + [i]
+        h = [0x43B0D7E5, 0x931E8875]
+
+        def hashmix(v):
+            v = v ^ np.uint32(h[0])
+            h[0] = h[0] * h[1] & _M32
+            v = v * np.uint32(h[0])
+            return v ^ v >> np.uint32(16)
+
+        def mix(x, y):
+            r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+            return r ^ r >> np.uint32(16)
+
+        pool = [hashmix(ent[j] if j < len(ent) else 0 * i) for j in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for src in ent[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(src))
+        h[:] = [0x8B51F9DD, 0x58F38DED]  # generate_state(4, np.uint64)
+        w = [hashmix(pool[j % 4]).astype(np.uint64) for j in range(8)]
+        s_hi, s_lo, i_hi, i_lo = (
+            (w[j] | w[j + 1] << np.uint64(32)).tolist() for j in (0, 2, 4, 6))
+        for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+            inc = ((c << 64 | d) << 1 | 1) & _M128
+            yield ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _M128, inc
+
+
 def _uniform_rows(seed: int, reps: int, n: int) -> np.ndarray:
-    rows = [np.random.default_rng([seed, i]).random(n) for i in range(reps)]
-    return np.clip(np.stack(rows), _TINY_U, None)
+    """Row i is np.random.default_rng([seed, i]).random(n), clipped at
+    _TINY_U; one generator is re-seeded per row instead of built."""
+    out = np.empty((reps, n))
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    for row, (state, inc) in zip(out, _pcg64_states(seed, reps)):
+        bit_gen.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                         "uinteger": 0,
+                         "state": {"state": state, "inc": inc}}
+        gen.random(out=row)
+    return np.clip(out, _TINY_U, None, out=out)
 
 
 def empirical_cdf_ensemble(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +163,8 @@ def empirical_cdf_ensemble(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     with ranks traces one empirical CDF.  Rank N (grid value 1.0) is kept:
     an empirical CDF does reach 1, even though a fit would reject q = 1.
     """
-    u = np.sort(_uniform_rows(cfg.seed, cfg.reps, cfg.n_total), axis=1)
+    u = _uniform_rows(cfg.seed, cfg.reps, cfg.n_total)
+    u.sort(axis=1)
     values = ppf(cfg.d.spec, cfg.d.theta, u)
     ranks = np.arange(1, cfg.n_total + 1, dtype=float) / cfg.n_total
     return values, ranks
@@ -124,5 +184,6 @@ def os_marginal_oracle(d: Dist, n_total: int, k: int, reps: int,
     k = int(k_f)
     if int(reps) < 1:
         raise ValueError(f"reps must be >= 1, got {reps!r}")
-    u = np.sort(_uniform_rows(seed, int(reps), n_total), axis=1)[:, k - 1]
-    return ppf(d.spec, d.theta, u)
+    u = _uniform_rows(seed, int(reps), n_total)
+    u.sort(axis=1)
+    return ppf(d.spec, d.theta, u[:, k - 1])

@@ -20,6 +20,7 @@ from qmatch.orderstats import (
 )
 from qmatch.simulation import (
     SimConfig,
+    _uniform_rows,
     empirical_cdf_ensemble,
     os_marginal_oracle,
     simulate_quantile_data,
@@ -148,6 +149,31 @@ class TestEmpiricalCdfEnsemble:
         small = empirical_cdf_ensemble(
             SimConfig(d=d, n_total=10, q=(0.5,), reps=20, seed=7))[0]
         np.testing.assert_array_equal(big[:20], small)
+
+
+class TestUniformRows:
+    """The re-seeded generator must reproduce default_rng([seed, i]) bit
+    for bit, including seeds that span several 32-bit entropy words."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 2, 2**32 - 1, 2**32,
+                                      2**64 + 5, 2**100 + 7, 2**160 + 3,
+                                      np.int64(12)])
+    def test_rows_match_default_rng(self, seed):
+        rows = _uniform_rows(seed, 300, 9)
+        expected = np.stack([
+            np.clip(np.random.default_rng([seed, i]).random(9), 5e-324, None)
+            for i in range(300)])
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_rows_match_default_rng_across_hash_chunks(self):
+        rows = _uniform_rows(3, 9000, 2)
+        expected = np.stack([np.random.default_rng([3, i]).random(2)
+                             for i in range(9000)])
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _uniform_rows(-1, 3, 4)
 
 
 class TestOsMarginalOracle:
