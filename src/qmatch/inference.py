@@ -1,25 +1,23 @@
 """Posterior machinery: priors, reparameterization, MCMC, MAP, MSE fit.
 
-The parameter spaces are one or two dimensional, so sampling uses adaptive
-random-walk Metropolis in an unconstrained space (positive parameters get a
-log bijection).  A scalar step size is tuned by Robbins-Monro during warmup
-toward a target acceptance rate, multiplied by a per-parameter width vector
-refreshed from the running warmup spread; both freeze when sampling starts,
-keeping the retained chain a genuine Metropolis chain.
+Sampling is adaptive random-walk Metropolis (Haario, Saksman & Tamminen
+2001) in an unconstrained space; positive parameters get a log bijection.
+Chains start at draws from the Laplace approximation at the mode and
+propose with the Cholesky factor of its covariance; where the density has
+no finite start or no negative-definite Hessian there, they start at
+N(0, 1) draws with an identity factor.  In warmup a Robbins-Monro step tunes the acceptance
+rate and, each quarter, the factor becomes the Cholesky factor of the
+ridged covariance of the last half of the warmup draws; both then freeze,
+so the retained chain is a genuine Metropolis chain.
 
 Priors are Gaussians on the *constrained* parameters (broad by default:
 mean 0, sd 100), so the Jacobian term enters only through the bijection.
 
-The log density is compiled once per fit: ``_log_density(model)`` returns
-a closure from eta, a sequence of plain floats, to (log-posterior,
-log-likelihood).  The likelihood is the closure ``orderstats.
-compile_loglik`` builds, the same code ``joint_os_loglik`` and
-``gaussian_noise_loglik`` run; the prior constants are computed when the
-density is built, so per step it builds no ``Dist``, makes no
-``to_constrained`` call and does no numpy work.  ``log_posterior``, the
-sampler and ``map_estimate`` all evaluate the density through it.  The
-sampler records each draw's order-statistics log-likelihood as the chain
-enters the state.
+``_log_density(model)`` compiles the model once per fit into a closure
+from eta (plain floats) to (log-posterior, log-likelihood), the likelihood
+being ``orderstats.compile_loglik``'s.  ``log_posterior``, the sampler and
+``map_estimate`` all evaluate it; per step the sampler does no numpy work
+and records the order-statistics log-likelihood of each state it enters.
 
 Chains own private RNG streams seeded by (seed, chain_id): results are
 reproducible bit-for-bit and independent of evaluation order.
@@ -27,6 +25,7 @@ reproducible bit-for-bit and independent of evaluation order.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -269,92 +268,134 @@ def log_posterior(model: ModelSpec, eta) -> float:
     return _log_density(model)(eta.tolist())[0]
 
 
-def _random_start(f, rng: np.random.Generator, arity: int):
-    """The first of up to 100 N(0, 1) draws of eta at which f(eta) is
-    finite, with that value; (the last eta drawn, None) if there is none."""
+def _random_start(f, rng: np.random.Generator, center, factor):
+    """The first of up to 100 draws center + factor @ N(0, I) of eta at
+    which f(eta) is finite, with that value; (the last eta drawn, None) if
+    there is none."""
     for _ in range(100):
-        eta = rng.standard_normal(arity).tolist()
+        eta = (center + factor @ rng.standard_normal(len(center))).tolist()
         value = f(eta)
         if math.isfinite(value):
             return eta, value
     return eta, None
 
 
-def _run_chain(log_density, arity: int, cfg: SamplerConfig, chain: int):
-    """One chain on private RNG stream (seed, chain).
+def _find_mode(log_density, arity: int, rngs):
+    """Nelder-Mead maximum of log_density from one N(0, 1) start per
+    generator: (eta, log density), or (None, -inf) if none is finite."""
+    def f(eta):
+        return -log_density(np.asarray(eta, dtype=float).tolist())[0]
+
+    best_eta, best_val = None, math.inf
+    for rng in rngs:
+        eta0, val0 = _random_start(f, rng, np.zeros(arity), np.eye(arity))
+        if val0 is None:
+            continue
+        eta, val = nelder_mead(f, eta0)
+        if val < best_val:
+            best_eta, best_val = eta, val
+    return best_eta, -best_val
+
+
+def _start(log_density, arity: int, cfg: SamplerConfig):
+    """(center, Cholesky factor, step) of the chains: the Laplace fit at
+    the mode, found on stream (seed, 2**32 - 1) that no chain uses, and
+    2.38 / sqrt(arity); or the origin, the identity and initial_step_scale
+    where there is no finite start or negative-definite Hessian."""
+    mode, _ = _find_mode(log_density, arity,
+                         [np.random.default_rng([cfg.seed, 2**32 - 1])])
+    if mode is not None:
+        h = 1e-4 * np.maximum(1.0, np.abs(mode))
+
+        def lp(eta):
+            return log_density(eta.tolist())[0]
+
+        hess = np.array([[lp(mode + a + b) - lp(mode + a - b)
+                          - lp(mode - a + b) + lp(mode - a - b)
+                          for b in np.diag(h)] for a in np.diag(h)])
+        with contextlib.suppress(np.linalg.LinAlgError):
+            factor = np.linalg.cholesky(-4.0 * np.linalg.inv(hess)
+                                        * np.outer(h, h))
+            if np.isfinite(factor).all():
+                return mode, factor, 2.38 / math.sqrt(arity)
+    return np.zeros(arity), np.eye(arity), cfg.initial_step_scale
+
+
+def _unit_factor(chol: np.ndarray) -> tuple[np.ndarray, float]:
+    """chol divided by the geometric mean of its diagonal, and that mean."""
+    gm = math.exp(float(np.mean(np.log(np.diag(chol)))))
+    return chol / gm, gm
+
+
+def _run_chain(log_density, cfg: SamplerConfig, chain: int, center,
+               factor, step):
+    """One chain on private RNG stream (seed, chain), started at a draw of
+    center + factor @ N(0, I), proposing step * factor @ N(0, I) at first.
 
     Returns the sampling-phase states (samples_per_chain x arity), the
     rows where the state changed (row 0 first), the log-likelihood of the
     state entered at each of those rows, and the sampling acceptance rate.
     """
+    arity = len(center)
     rng = np.random.default_rng([cfg.seed, chain])
-    eta, lp = _random_start(lambda e: log_density(e)[0], rng, arity)
+    eta, lp = _random_start(lambda e: log_density(e)[0], rng, center, factor)
     if lp is None:
         raise RuntimeError(
             f"failed to find a finite starting point in 100 tries; last eta "
             f"= {np.asarray(eta)}")
 
-    total = cfg.warmup + cfg.samples_per_chain
-    z = rng.standard_normal((total, arity))
-    log_u = np.log(rng.random(total))
+    warmup = cfg.warmup
+    z = rng.standard_normal((warmup + cfg.samples_per_chain, arity))
+    log_u = np.log(rng.random(len(z))).tolist()
 
-    step = cfg.initial_step_scale
-    width = np.ones(arity)
+    factor, gm = _unit_factor(factor)
+    step *= gm
     target = cfg.target_acceptance
-    warm = []
-    quarter = cfg.warmup // 4
-    milestones = {quarter, 2 * quarter, 3 * quarter} - {0}
-
-    # every warmup run accepts at least once (or fails below), so the
-    # state entering the sampling phase always has its ll set here
-    ll = None
-    accepted_warm = 0
-    scale = width.tolist()
-    # rows become float lists one at a time, which keeps fewer small
-    # objects alive than converting the whole block
-    for t, (zt, lu) in enumerate(zip(map(np.ndarray.tolist, z[:cfg.warmup]),
-                                     log_u[:cfg.warmup].tolist())):
-        prop = [e + step * w * zi for e, w, zi in zip(eta, scale, zt)]
-        lp_prop, ll_prop = log_density(prop)
-        accept = lp_prop - lp >= lu
-        if accept:
-            eta, lp, ll = prop, lp_prop, ll_prop
-            accepted_warm += 1
-        warm.append(eta)
-        step *= math.exp((t + 1.0) ** -0.6 * ((1.0 if accept else 0.0) - target))
-        if (t + 1) in milestones:
-            sds = np.maximum(np.array(warm).std(axis=0), 1e-12)
-            width = sds / math.exp(float(np.mean(np.log(sds))))
-            scale = width.tolist()
-
-    if accepted_warm / cfg.warmup < 1e-3:
-        raise RuntimeError(
-            f"chain {chain} rejected essentially every warmup proposal "
-            f"(acceptance {accepted_warm / cfg.warmup:.2e}); the sampler is "
-            f"stuck at eta = {np.asarray(eta)}")
-
-    # the proposal is frozen from here on: every increment in one expression
-    increments = map(np.ndarray.tolist, step * width * z[cfg.warmup:])
-    out = []
-    rows, lls = [0], [ll]
-    accepted = 0
-    for t, (inc, lu) in enumerate(zip(increments,
-                                      log_u[cfg.warmup:].tolist())):
-        prop = [e + d for e, d in zip(eta, inc)]
-        lp_prop, ll_prop = log_density(prop)
-        if lp_prop - lp >= lu:
-            eta, lp = prop, lp_prop
-            accepted += 1
-            rows.append(t)
-            lls.append(ll_prop)
-        out.append(eta)
+    quarter = warmup // 4
+    # the factor changes at each quarter of warmup and freezes with the
+    # step when sampling starts: one product of increments per segment
+    bounds = sorted({0, quarter, 2 * quarter, 3 * quarter, warmup, len(z)})
+    states, rows, lls = [], [], []
+    for a, b in zip(bounds, bounds[1:]):
+        if a == warmup:
+            if len(rows) / warmup < 1e-3:
+                raise RuntimeError(
+                    f"chain {chain} rejected essentially every warmup "
+                    f"proposal (acceptance {len(rows) / warmup:.2e}); the "
+                    f"sampler is stuck at eta = {np.asarray(eta)}")
+            # row 0 of the sampling phase holds the state warmup ended in
+            states, rows, lls = [], [0], lls[-1:]
+        elif a:
+            # the ridge lets a buffer that never moved still factor
+            cov = np.atleast_2d(np.cov(np.array(states[len(states) // 2:]),
+                                       rowvar=False, bias=True))
+            cov += (1e-10 * np.trace(cov) + 1e-24) * np.eye(arity)
+            factor, _ = _unit_factor(np.linalg.cholesky(cov))
+        # rows become float lists one at a time, which keeps fewer small
+        # objects alive than converting the whole block
+        for t, inc, lu in zip(range(a, b),
+                              map(np.ndarray.tolist, z[a:b] @ factor.T),
+                              log_u[a:b]):
+            prop = [e + step * d for e, d in zip(eta, inc)]
+            lp_prop, ll_prop = log_density(prop)
+            accept = lp_prop - lp >= lu
+            if accept:
+                eta, lp = prop, lp_prop
+                rows.append(t - warmup)
+                lls.append(ll_prop)
+            states.append(eta)
+            if t < warmup:
+                step *= math.exp((t + 1.0) ** -0.6
+                                 * ((1.0 if accept else 0.0) - target))
+    rate = (len(rows) - 1) / cfg.samples_per_chain
     if len(rows) > 1 and rows[1] == 0:      # the first proposal was accepted
         del rows[0], lls[0]
-    return np.array(out), rows, lls, accepted / cfg.samples_per_chain
+    return np.array(states), rows, lls, rate
 
 
 def sample_posterior(model: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
-    """Adaptive random-walk Metropolis, cfg.chains independent chains.
+    """Adaptive random-walk Metropolis, cfg.chains independent chains
+    started as ``_start`` says.
 
     Each draw's order-statistics log-likelihood is recorded as the chain
     enters its state, so a state that repeats is not evaluated again.
@@ -362,9 +403,10 @@ def sample_posterior(model: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
     family = model.family
     arity = family.arity
     log_density = _log_density(model)
+    start = _start(log_density, arity, cfg)
     blocks, rates, rows, lls = [], [], [], []
     for chain in range(cfg.chains):
-        etas, moved, ll, rate = _run_chain(log_density, arity, cfg, chain)
+        etas, moved, ll, rate = _run_chain(log_density, cfg, chain, *start)
         blocks.append(etas)
         rates.append(rate)
         rows.extend(chain * cfg.samples_per_chain + r for r in moved)
@@ -417,26 +459,15 @@ def map_estimate(model: ModelSpec, restarts: int = 1,
     """
     if int(restarts) < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts!r}")
-    log_density = _log_density(model, jacobian=False)
-
-    def objective(e):
-        return -log_density(np.asarray(e, dtype=float).tolist())[0]
-
-    best_eta, best_val = None, math.inf
-    for r in range(int(restarts)):
-        rng = np.random.default_rng([seed, r])
-        eta0, val0 = _random_start(objective, rng, model.family.arity)
-        if val0 is None:
-            continue
-        eta_opt, val = nelder_mead(objective, eta0)
-        if val < best_val:
-            best_eta, best_val = eta_opt, val
+    best_eta, best_val = _find_mode(
+        _log_density(model, jacobian=False), model.family.arity,
+        (np.random.default_rng([seed, r]) for r in range(int(restarts))))
     if best_eta is None:
         raise RuntimeError(
             f"log posterior was -inf at every initialization "
             f"({restarts} restarts x 100 tries)")
     theta, _ = to_constrained(model.family, best_eta)
-    return theta, -best_val
+    return theta, best_val
 
 
 def mse_fit(family, obs: QuantileObservation, restarts: int = 1,

@@ -132,35 +132,28 @@ class QuantileObservation:
         return replace(self, x=tuple(v / self.scale_divisor for v in self.x))
 
 
-@lru_cache(maxsize=256)
-def _log_binomials(n: int) -> tuple[float, ...]:
-    lg_n1 = log_gamma(n + 1.0)
-    return tuple(
-        lg_n1 - log_gamma(i + 1.0) - log_gamma(n - i + 1.0) for i in range(n + 1)
-    )
-
-
-def uniform_os_cdf(n: int, k: int, x: float) -> float:
+def uniform_os_cdf(n: int, k: int, x):
     """P(U_(k) <= x) for the k-th of n iid uniforms: the at-least-k sum
-    sum_{i=k}^{n} C(n,i) x^i (1-x)^{n-i}, integer k only."""
+    sum_{i=k}^{n} C(n,i) x^i (1-x)^{n-i}, integer k only.  x is a float,
+    which gives a float, or an array, which gives an array of its shape."""
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not float(k).is_integer() or not 1 <= int(k) <= n:
         raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
     k = int(k)
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
+    u = np.asarray(x, dtype=float)
+    if not np.all((u >= 0.0) & (u <= 1.0)):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    lx = math.log(x)
-    l1x = math.log1p(-x)
-    logc = _log_binomials(n)
-    terms = [math.exp(logc[i] + i * lx + (n - i) * l1x) for i in range(k, n + 1)]
-    return min(math.fsum(terms), 1.0)
+    i = np.arange(k, n + 1)
+    log_c = [log_gamma(n + 1.0) - log_gamma(j + 1.0) - log_gamma(n - j + 1.0)
+             for j in range(k, n + 1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # one row of terms per x; the endpoints are set exactly below
+        terms = np.exp(np.array(log_c) + i * np.log(u)[..., None]
+                       + (n - i) * np.log1p(-u)[..., None])
+    total = np.where(u == 1.0, 1.0, np.minimum(terms.sum(axis=-1), 1.0))
+    return float(total) if total.ndim == 0 else total
 
 
 def _pow_term(e: float, v: float) -> float:

@@ -12,6 +12,7 @@ import pytest
 
 import qmatch.inference as inference
 import qmatch.orderstats as orderstats
+from qmatch.datasets import load_salaries
 from qmatch.distributions import FAMILY_NAMES, Dist, dist, get_family
 from qmatch.inference import (
     LIKELIHOOD_KINDS,
@@ -386,7 +387,11 @@ class TestSamplePosterior:
             return gated
 
         monkeypatch.setattr(inference, "_log_density", gated_builder)
-        with pytest.raises(RuntimeError, match="eta"):
+        # no mode search, so the chain's start is the one finite evaluation
+        monkeypatch.setattr(
+            inference, "_start",
+            lambda f, arity, cfg: (np.zeros(arity), np.eye(arity), 0.1))
+        with pytest.raises(RuntimeError, match="stuck at eta"):
             sample_posterior(build_model("gamma", el_obs()),
                              SamplerConfig(chains=1, warmup=100,
                                            samples_per_chain=10))
@@ -452,6 +457,122 @@ class TestSamplePosterior:
             SamplerConfig(target_acceptance=1.0)
         with pytest.raises(ValueError):
             SamplerConfig(initial_step_scale=0.0)
+
+
+def _gaussian_2d(rho):
+    """Plain-float standard bivariate Gaussian log density with correlation
+    rho, returning (lp, lp) like the compiled model density."""
+    def density(eta):
+        a, b = eta
+        lp = -0.5 * (a * a - 2.0 * rho * a * b + b * b) / (1.0 - rho * rho)
+        return lp, lp
+    return density
+
+
+def _recorded_factors(monkeypatch):
+    """Every Cholesky factor the sampler normalizes, in call order: a
+    chain's start factor, then one per warmup milestone."""
+    factors = []
+    real = inference._unit_factor
+    monkeypatch.setattr(inference, "_unit_factor",
+                        lambda chol: factors.append(chol) or real(chol))
+    return factors
+
+
+class TestAdaptiveProposal:
+    def test_learns_a_correlated_target(self, monkeypatch):
+        factors = _recorded_factors(monkeypatch)
+        cfg = SamplerConfig(seed=1)
+        start = (np.zeros(2), np.eye(2), cfg.initial_step_scale)
+        blocks = [inference._run_chain(_gaussian_2d(0.99), cfg, c, *start)[0]
+                  for c in range(cfg.chains)]
+        pd = PosteriorDraws(draws=np.vstack(blocks),
+                            chain_id=np.repeat(np.arange(cfg.chains),
+                                               cfg.samples_per_chain),
+                            log_likelihood=np.zeros(4000), seed=1,
+                            warmup=cfg.warmup, acceptance_rate=(0.3,) * 4)
+        assert min(diagnostics(pd).ess) >= 300
+        assert len(factors) == 4 * cfg.chains
+        for frozen in factors[3::4]:         # the last milestone's factor
+            cov = frozen @ frozen.T
+            corr = cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1])
+            assert corr == pytest.approx(0.99, abs=0.05)
+
+    def test_warmup_that_stops_moving_keeps_sampling(self):
+        # finite for the first 60 evaluations, -inf after: the second half
+        # of the warmup buffer is one repeated state, whose covariance is 0
+        calls = {"n": 0}
+        target = _gaussian_2d(0.5)
+
+        def freezing(eta):
+            calls["n"] += 1
+            return target(eta) if calls["n"] <= 60 else (-math.inf, -math.inf)
+
+        cfg = SamplerConfig(warmup=400, samples_per_chain=100, seed=3)
+        etas, rows, lls, rate = inference._run_chain(
+            freezing, cfg, 0, np.zeros(2), np.eye(2), 0.1)
+        assert rate == 0.0 and rows == [0] and len(lls) == 1
+        assert np.all(etas == etas[0])
+
+    @pytest.mark.parametrize("name", ["exponential", "chi_square"])
+    def test_arity_one_families_take_the_cholesky_path(self, name,
+                                                       monkeypatch):
+        factors = _recorded_factors(monkeypatch)
+        model = build_model(name, el_obs())
+        cfg = SamplerConfig(seed=2)
+        _, factor, step = inference._start(inference._log_density(model), 1,
+                                           cfg)
+        assert factor.shape == (1, 1) and step == 2.38
+        pd = sample_posterior(model, cfg)
+        assert len(factors) == 16
+        assert all(f.shape == (1, 1) for f in factors)
+        assert diagnostics(pd).r_hat[0] < 1.05
+
+    def test_non_positive_definite_hessian_falls_back(self, monkeypatch):
+        # no curvature along eta[1] at the mode: a singular Hessian
+        def flat_in_b(eta):
+            lp = -0.5 * eta[0] ** 2 if abs(eta[1]) < 3.0 else -math.inf
+            return lp, lp
+
+        starts = []
+        real = inference._run_chain
+        monkeypatch.setattr(inference, "_log_density",
+                            lambda model, jacobian=True: flat_in_b)
+        monkeypatch.setattr(
+            inference, "_run_chain",
+            lambda f, cfg, chain, *start: (starts.append(start)
+                                           or real(f, cfg, chain, *start)))
+        cfg = SamplerConfig(chains=2, warmup=200, samples_per_chain=100)
+        sample_posterior(build_model("normal", el_obs()), cfg)
+        assert len(starts) == 2
+        for center, factor, step in starts:
+            np.testing.assert_array_equal(center, np.zeros(2))
+            np.testing.assert_array_equal(factor, np.eye(2))
+            assert step == cfg.initial_step_scale
+
+    @pytest.mark.parametrize("name,country,seed", list(itertools.product(
+        ("gamma", "inv_gamma"), ("EL", "LU"), (1, 2))))
+    def test_salary_fits_of_correlated_families_mix(self, name, country,
+                                                    seed):
+        model = build_model(name, load_salaries(country).normalized())
+        diag = diagnostics(sample_posterior(model, SamplerConfig(seed=seed)))
+        assert max(diag.r_hat) < 1.05
+        assert min(diag.ess) >= 200
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("n_total", [10**2, 10**4, 10**6, 10**9, 10**12])
+    def test_el_quartile_fits_converge(self, n_total):
+        obs = QuantileObservation(q=(0.25, 0.5, 0.75),
+                                  x=(4930.0, 7500.0, 11000.0),
+                                  n_total=n_total,
+                                  scale_divisor=7500.0).normalized()
+        for name, warmup in itertools.product(
+                ("normal", "gamma", "lognormal"), (1000, 500)):
+            diag = diagnostics(sample_posterior(build_model(name, obs),
+                                                SamplerConfig(warmup=warmup)))
+            assert max(diag.r_hat) < 1.05, (name, warmup)
+            assert min(diag.ess) >= 200, (name, warmup)
 
 
 class TestMapEstimate:

@@ -8,6 +8,7 @@ and mpmath and are frozen as literals.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,14 +104,34 @@ class TestUniformOsCdf:
             samples = np.sort(sorted_rows[:, k - 1])
             n = samples.size
             grid = np.arange(1, n + 1) / n
-            theo = np.array([uniform_os_cdf(20, k, s) for s in samples])
+            theo = uniform_os_cdf(20, k, samples)
             ks = max(np.max(np.abs(grid - theo)),
                      np.max(np.abs(grid - 1.0 / n - theo)))
             assert ks < 0.01
 
+    def test_array_matches_floats_and_the_exact_sum(self):
+        # the binomial tail in exact rational arithmetic on the float x
+        def exact(n, k, x):
+            x = Fraction(x)
+            return float(sum(math.comb(n, i) * x ** i * (1 - x) ** (n - i)
+                             for i in range(k, n + 1)))
+
+        x = np.concatenate([np.random.default_rng(3).random(20),
+                            [0.0, 1.0, 1e-12, 0.5, 1.0 - 2**-53, 2**-40]])
+        for n in (1, 2, 5, 20, 40):
+            for k in range(1, n + 1):
+                values = uniform_os_cdf(n, k, x)
+                assert values.shape == x.shape
+                for xi, v in zip(x.tolist(), values.tolist()):
+                    scalar = uniform_os_cdf(n, k, xi)
+                    assert type(scalar) is float
+                    assert v == pytest.approx(scalar, abs=1e-13)
+                    assert v == pytest.approx(exact(n, k, xi), abs=1e-13)
+        assert uniform_os_cdf(7, 3, x.reshape(2, 13)).shape == (2, 13)
+
     @pytest.mark.parametrize("args", [
         (0, 1, 0.5), (5, 0, 0.5), (5, 6, 0.5), (5, 2.5, 0.5),
-        (5, 2, -0.1), (5, 2, 1.1),
+        (5, 2, -0.1), (5, 2, 1.1), (5, 2, np.array([0.5, math.nan])),
     ])
     def test_rejects_invalid(self, args):
         with pytest.raises(ValueError):
