@@ -6,6 +6,8 @@ back and evaluates predictive quantiles, `simulate` writes a synthetic
 dataset, and `curves` dumps plot-ready CSV grids (penalty curves,
 predictive CDF bands, or an empirical-CDF ensemble).
 
+`compare` fits in up to one worker process per core; same bytes at any count.
+
 Exit codes: 0 success, 1 input error, 2 completed with warnings (fit did
 not pass the convergence check, or some compared families failed).
 Every command is deterministic under fixed flags; the seed falls back to
@@ -143,27 +145,27 @@ def _convergence_warnings(reports) -> list[str]:
     return notes
 
 
-def _sampler_config(args) -> SamplerConfig:
-    return SamplerConfig(
-        chains=args.chains,
-        warmup=args.warmup,
-        samples_per_chain=args.samples,
-        seed=_resolve_seed(args),
-    )
+def _fit_settings(args) -> tuple:
+    """`_fit_one`'s arguments after (family, obs), as plain data."""
+    config = SamplerConfig(chains=args.chains, warmup=args.warmup,
+                           samples_per_chain=args.samples,
+                           seed=_resolve_seed(args))
+    return _KINDS[args.likelihood], args.sigma_noise, config, not args.no_draws
 
 
-def _fit_one(family: str, obs, args):
+def _fit_one(family: str, obs, likelihood_kind: str, sigma_noise: float,
+             config: SamplerConfig, include_draws: bool):
     model = build_model(family, obs.normalized(),
-                        likelihood_kind=_KINDS[args.likelihood],
-                        sigma_noise=args.sigma_noise)
-    pd = sample_posterior(model, _sampler_config(args))
-    return make_fit_report(model, pd, include_draws=not args.no_draws)
+                        likelihood_kind=likelihood_kind,
+                        sigma_noise=sigma_noise)
+    pd = sample_posterior(model, config)
+    return make_fit_report(model, pd, include_draws=include_draws)
 
 
 def cmd_fit(args) -> int:
     obs = read_dataset(args.data, n_total=args.n_total,
                        scale_divisor=args.divisor)
-    report = _fit_one(args.family, obs, args)
+    report = _fit_one(args.family, obs, *_fit_settings(args))
     _emit_output(report_to_json(report), args.out)
     notes = _convergence_warnings([report])
     for note in notes:
@@ -172,22 +174,38 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # imported here: the pool's modules would add to every command's start-up
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     obs = read_dataset(args.data, n_total=args.n_total,
                        scale_divisor=args.divisor)
     if args.families == "all":
         families = FAMILY_NAMES
     else:
         families = tuple(args.families.split(","))
+        if "" in families:
+            raise CliError(f"--families has an empty name: "
+                           f"{args.families!r}")
+        repeated = sorted({f for f in families if families.count(f) > 1})
+        if repeated:
+            raise CliError(f"--families repeats {', '.join(repeated)}")
         unknown = [f for f in families if f not in FAMILY_NAMES]
         if unknown:
             raise CliError(f"unknown families: {', '.join(unknown)}; "
                            f"choices: {', '.join(FAMILY_NAMES)}")
+    settings = _fit_settings(args)
     reports, failures = [], []
-    for family in families:
-        try:
-            reports.append(_fit_one(family, obs, args))
-        except (ValueError, RuntimeError) as exc:
-            failures.append((family, str(exc)))
+    with ProcessPoolExecutor(min(len(families), os.cpu_count() or 1)) as pool:
+        futures = [pool.submit(_fit_one, family, obs, *settings)
+                   for family in families]
+        for family, future in zip(families, futures):
+            try:
+                reports.append(future.result())
+            except BrokenProcessPool:
+                raise  # a worker died: the whole compare fails, exit 1
+            except (ValueError, RuntimeError) as exc:
+                failures.append((family, str(exc)))
     if not reports:
         detail = "; ".join(f"{f}: {e}" for f, e in failures)
         raise CliError(f"every family failed to fit: {detail}")

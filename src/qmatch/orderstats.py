@@ -33,7 +33,9 @@ Numerical conventions
   simply reject the proposal.
 
 All functions are pure; ``tie_events`` is the only piece of module state
-and is a monotone diagnostic counter.
+and is a monotone diagnostic counter.  It counts only evaluations made in
+the current process, so the fits that ``qmatch compare`` runs in worker
+processes do not add to it.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@
 import filecmp
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -21,11 +23,14 @@ from qmatch.dataio import (
     write_dataset,
 )
 from qmatch.datasets import COUNTRY_CODES, dataset_path, load_salaries
+from qmatch import cli
 from qmatch.cli import main
-from qmatch.distributions import dist
+from qmatch.distributions import FAMILY_NAMES, dist
 from qmatch.inference import SamplerConfig, build_model, sample_posterior
 from qmatch.orderstats import QuantileObservation, penalty_curves
-from qmatch.predictive import make_fit_report
+from qmatch.predictive import compare_models, make_fit_report
+
+from helpers import exit_worker
 
 SALARY_QUANTILES = {
     "EL": (12918, (4930.0, 7500.0, 11000.0)),
@@ -65,6 +70,18 @@ def el_report_path(tmp_path_factory, el_csv):
                  "--out", str(out)])
     assert code in (0, 2)
     return str(out)
+
+
+@pytest.fixture(scope="module")
+def el_compare_reference(el_csv):
+    """`compare --families all --seed 5` on EL under TINY, built in this
+    process, one family after another."""
+    obs = read_dataset(el_csv)
+    config = SamplerConfig(chains=2, warmup=300, samples_per_chain=150,
+                           seed=5)
+    reports = [cli._fit_one(f, obs, "order_statistics", 0.05, config, True)
+               for f in FAMILY_NAMES]
+    return ranking_to_json(compare_models(reports), [])
 
 
 class TestReadDataset:
@@ -462,6 +479,60 @@ class TestCompare:
             ["compare", el_csv, "--families", "gamma,zeta"], capsys)
         assert code == 1
         assert "unknown families: zeta" in err
+
+    def test_repeated_family_is_input_error(self, el_csv, capsys):
+        code, _, err = run_cli(
+            ["compare", el_csv, "--families", "gamma,normal,gamma"], capsys)
+        assert code == 1
+        assert "--families repeats gamma" in err
+
+    def test_empty_family_name_is_input_error(self, el_csv, capsys):
+        code, _, err = run_cli(
+            ["compare", el_csv, "--families", "gamma,"], capsys)
+        assert code == 1
+        assert "--families has an empty name: 'gamma,'" in err
+        assert "unknown families" not in err
+
+    @pytest.mark.parametrize("cores", [1, 9])
+    def test_worker_count_does_not_change_bytes(self, tmp_path, el_csv,
+                                                el_compare_reference, cores,
+                                                capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        out = tmp_path / "all.json"
+        code, _, _ = run_cli(
+            ["compare", el_csv, "--families", "all", "--seed", "5",
+             "--out", str(out)] + TINY, capsys)
+        assert code in (0, 2)
+        assert out.read_text() == el_compare_reference
+
+    def test_no_worker_outlives_compare(self, tmp_path, el_csv, capsys):
+        neg = tmp_path / "neg.csv"
+        neg.write_text("# meta: N=50\nq,x\n0.4,-5\n0.6,-4\n")
+        runs = [(el_csv, "gamma,lognormal", (0, 2)),
+                (str(neg), "normal,weibull", (2,)),   # one failure recorded
+                (str(neg), "weibull,gamma", (1,))]    # every family fails
+        for data, families, codes in runs:
+            code, _, _ = run_cli(
+                ["compare", data, "--families", families, "--seed", "3",
+                 "--no-draws", "--out", str(tmp_path / "rank.json")] + TINY,
+                capsys)
+            assert code in codes
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patch reaches workers only by fork")
+    def test_dead_worker_fails_the_compare(self, tmp_path, el_csv, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(cli, "sample_posterior", exit_worker)
+        out = tmp_path / "rank.json"
+        code, _, err = run_cli(
+            ["compare", el_csv, "--families", "all", "--seed", "3",
+             "--out", str(out)] + TINY, capsys)
+        assert code == 1
+        assert "terminated abruptly" in err
+        assert "failed" not in err and "warning" not in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     def test_families_all_runs_every_family(self, tmp_path, el_csv, capsys):
         out = tmp_path / "all.json"
