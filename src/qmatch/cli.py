@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import (
-    DataError,
     dataset_text,
     ranking_to_json,
     read_dataset,
@@ -126,7 +125,11 @@ def _read_report(path: str):
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}")
-    return report_from_json(text)
+    report = report_from_json(text)
+    if report.draws is None:
+        raise CliError("report has no embedded draws; rerun the fit "
+                       "without --no-draws")
+    return report
 
 
 def _convergence_warnings(reports) -> list[str]:
@@ -221,9 +224,6 @@ def cmd_compare(args) -> int:
 
 def cmd_predict(args) -> int:
     report = _read_report(args.report)
-    if report.draws is None:
-        raise CliError("report has no embedded draws; rerun the fit "
-                       "without --no-draws")
     ps = _parse_floats(args.p, "--p")
     divisor = args.divisor
     if divisor is None:
@@ -301,9 +301,6 @@ def cmd_curves(args) -> int:
         return 0
     if args.mode == "predictive":
         report = _read_report(args.report)
-        if report.draws is None:
-            raise CliError("report has no embedded draws; rerun the fit "
-                           "without --no-draws")
         obs = report.obs
         if args.x_range is not None:
             lo, hi = _parse_xrange(args.x_range)
@@ -322,9 +319,7 @@ def cmd_curves(args) -> int:
                     seed=_resolve_seed(args))
     values, ranks = empirical_cdf_ensemble(cfg)
     header = ",".join(repr(float(r)) for r in ranks)
-    lines = [header]
-    lines.extend(",".join(repr(float(v)) for v in row) for row in values)
-    _emit_output("\n".join(lines) + "\n", args.out)
+    _emit_output(_csv_lines(header, values.T), args.out)
     return 0
 
 
@@ -420,17 +415,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # downstream closed the pipe (e.g. | head); not our error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except OSError as exc:
+    except (CliError, ValueError, RuntimeError, OSError) as exc:
+        # DataError is a ValueError; BrokenProcessPool a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,9 +3,11 @@
 A dataset is a small CSV with a `q,x` header, one row per quantile, and a
 `# meta:` comment line carrying the hidden sample size N (and optionally
 the scale divisor).  Reports are JSON with a fixed key order and every
-float printed at 17 significant digits, so parse/serialize round-trips
-are lossless and a rerun with the same seed produces byte-identical
-files.  All writes go through a temp-file-then-rename step.
+float printed at 17 significant digits (-0.0 keeps its sign), so
+parse/serialize round-trips are lossless and a rerun with the same seed
+produces byte-identical files.  Number sequences are written from numpy
+arrays, and summary records from their dataclass fields, in field order.
+All writes go through a temp-file-then-rename step.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import os
 import re
 import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -183,7 +186,8 @@ def _float_token(v: float) -> str:
         return "NaN"
     if math.isinf(v):
         return "Infinity" if v > 0 else "-Infinity"
-    return format(v, ".17g")
+    text = format(v, ".17g")
+    return "-0.0" if text == "-0" else text   # "-0" reads back as int 0
 
 
 def _emit(obj, indent: int, out: list) -> None:
@@ -193,8 +197,8 @@ def _emit(obj, indent: int, out: list) -> None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+    elif isinstance(obj, int):
+        out.append(str(obj))
     elif isinstance(obj, (float, np.floating)):
         out.append(_float_token(obj))
     elif isinstance(obj, str):
@@ -211,8 +215,8 @@ def _emit(obj, indent: int, out: list) -> None:
         out.append(pad + "}")
     elif (isinstance(obj, np.ndarray) and obj.dtype.kind in "fi"
           and 1 <= obj.ndim <= 2):
-        # the posterior draws: the same text as the generic branch below,
-        # one join per row instead of one _emit per element
+        # every number sequence: a vector on one line, a matrix one row
+        # per line, one join per row
         token = _float_token if obj.dtype.kind == "f" else str
         if obj.ndim == 1:
             out.append("[" + ", ".join(map(token, obj.tolist())) + "]")
@@ -222,27 +226,17 @@ def _emit(obj, indent: int, out: list) -> None:
             out.append("[\n" + ",\n".join(
                 inner + "[" + ", ".join(map(token, row)) + "]"
                 for row in obj.tolist()) + "\n" + pad + "]")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
+    elif isinstance(obj, list):
+        # records: one dict per line
+        if not obj:
             out.append("[]")
             return
-        nested = any(isinstance(v, (list, tuple, np.ndarray, dict))
-                     for v in items)
-        if nested:
-            out.append("[\n")
-            for i, value in enumerate(items):
-                out.append(inner)
-                _emit(value, indent + 1, out)
-                out.append(",\n" if i < len(items) - 1 else "\n")
-            out.append(pad + "]")
-        else:
-            parts = []
-            for value in items:
-                sub: list = []
-                _emit(value, 0, sub)
-                parts.append("".join(sub))
-            out.append("[" + ", ".join(parts) + "]")
+        out.append("[\n")
+        for i, value in enumerate(obj):
+            out.append(inner)
+            _emit(value, indent + 1, out)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -263,8 +257,8 @@ _VERSION = 1
 
 def _obs_payload(obs: QuantileObservation) -> dict:
     return {
-        "q": [float(v) for v in obs.q],
-        "x": [float(v) for v in obs.x],
+        "q": np.array(obs.q, dtype=float),
+        "x": np.array(obs.x, dtype=float),
         # an integral N is written as an int, so such reports keep their bytes
         "n_total": (int(obs.n_total) if obs.n_total.is_integer()
                     else obs.n_total),
@@ -279,22 +273,14 @@ def _report_body(report: FitReport) -> dict:
         "sigma_noise": float(report.sigma_noise),
         "seed": int(report.seed),
         "observation": _obs_payload(report.obs),
-        "params": [
-            {"name": p.name, "mean": p.mean, "sd": p.sd,
-             "q05": p.q05, "q50": p.q50, "q95": p.q95}
-            for p in report.params
-        ],
+        "params": [asdict(p) for p in report.params],
         "diagnostics": None if report.diag is None else {
             "r_hat": None if report.diag.r_hat is None
-            else [float(v) for v in report.diag.r_hat],
-            "ess": [float(v) for v in report.diag.ess],
+            else np.array(report.diag.r_hat, dtype=float),
+            "ess": np.array(report.diag.ess, dtype=float),
         },
-        "score": {"mean": report.score.mean, "minus": report.score.minus,
-                  "plus": report.score.plus},
-        "predictive": [
-            {"p": pq.p, "value": pq.value, "lo": pq.lo, "hi": pq.hi}
-            for pq in report.predictive
-        ],
+        "score": asdict(report.score),
+        "predictive": [asdict(pq) for pq in report.predictive],
         "draws": None,
     }
     pd = report.draws
@@ -304,7 +290,7 @@ def _report_body(report: FitReport) -> dict:
             "chain_id": pd.chain_id,
             "log_likelihood": pd.log_likelihood,
             "warmup": int(pd.warmup),
-            "acceptance_rate": [float(v) for v in pd.acceptance_rate],
+            "acceptance_rate": np.array(pd.acceptance_rate, dtype=float),
         }
     return body
 
@@ -321,6 +307,13 @@ def _parse_obs(payload: dict) -> QuantileObservation:
         n_total=float(payload["n_total"]),
         scale_divisor=float(payload["scale_divisor"]),
     )
+
+
+def _record(cls, payload: dict):
+    """cls rebuilt from its JSON record: each field under its own name, as
+    a float except the `name`."""
+    return cls(**{f.name: payload[f.name] if f.name == "name"
+                  else float(payload[f.name]) for f in fields(cls)})
 
 
 def _report_from_body(body: dict) -> FitReport:
@@ -347,19 +340,11 @@ def _report_from_body(body: dict) -> FitReport:
         family=body["family"],
         likelihood_kind=body["likelihood_kind"],
         sigma_noise=float(body["sigma_noise"]),
-        params=tuple(
-            ParamSummary(name=p["name"], mean=float(p["mean"]),
-                         sd=float(p["sd"]), q05=float(p["q05"]),
-                         q50=float(p["q50"]), q95=float(p["q95"]))
-            for p in body["params"]),
+        params=tuple(_record(ParamSummary, p) for p in body["params"]),
         diag=diag,
-        score=Score(mean=float(body["score"]["mean"]),
-                    minus=float(body["score"]["minus"]),
-                    plus=float(body["score"]["plus"])),
-        predictive=tuple(
-            PredictiveQuantile(p=float(e["p"]), value=float(e["value"]),
-                               lo=float(e["lo"]), hi=float(e["hi"]))
-            for e in body["predictive"]),
+        score=_record(Score, body["score"]),
+        predictive=tuple(_record(PredictiveQuantile, e)
+                         for e in body["predictive"]),
         obs=_parse_obs(body["observation"]),
         seed=int(body["seed"]),
         draws=draws,

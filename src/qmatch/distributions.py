@@ -492,19 +492,8 @@ class Dist:
     theta: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        theta = tuple(float(v) for v in self.theta)
-        object.__setattr__(self, "theta", theta)
-        if len(theta) != self.spec.arity:
-            raise ValueError(
-                f"{self.spec.name} expects {self.spec.arity} parameters, "
-                f"got {len(theta)}"
-            )
-        for pspec, value in zip(self.spec.params, theta):
-            if not pspec.contains(value):
-                raise ValueError(
-                    f"{self.spec.name}.{pspec.name}={value!r} violates "
-                    f"domain {pspec.domain!r}"
-                )
+        theta = _array_theta(self.spec, self.theta)
+        object.__setattr__(self, "theta", tuple(float(v) for v in theta))
 
     def log_pdf(self, x: float) -> float:
         """Natural log of the density; -inf outside the support."""

@@ -5,10 +5,12 @@ Sampling is adaptive random-walk Metropolis (Haario, Saksman & Tamminen
 Chains start at draws from the Laplace approximation at the mode and
 propose with the Cholesky factor of its covariance; where the density has
 no finite start or no negative-definite Hessian there, they start at
-N(0, 1) draws with an identity factor.  In warmup a Robbins-Monro step tunes the acceptance
-rate and, each quarter, the factor becomes the Cholesky factor of the
-ridged covariance of the last half of the warmup draws; both then freeze,
-so the retained chain is a genuine Metropolis chain.
+N(0, 1) draws with an identity factor and step ``_FALLBACK_STEP`` (0.1).
+In warmup a Robbins-Monro step tunes the acceptance rate towards
+``_TARGET_ACCEPTANCE`` (0.3) and, each quarter, the factor becomes the
+Cholesky factor of the ridged covariance of the last half of the warmup
+draws; both then freeze, so the retained chain is a genuine Metropolis
+chain.
 
 Priors are Gaussians on the *constrained* parameters (broad by default:
 mean 0, sd 100), so the Jacobian term enters only through the bijection.
@@ -56,6 +58,8 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 # exp() saturates here; the Gaussian prior has annihilated the posterior
 # long before, so capping keeps arithmetic silent without changing results
 _ETA_CAP = 700.0
+_TARGET_ACCEPTANCE = 0.3   # the warmup's Robbins-Monro target
+_FALLBACK_STEP = 0.1       # the step of chains started without a Laplace fit
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,6 @@ class SamplerConfig:
     warmup: int = 1000
     samples_per_chain: int = 1000
     seed: int = 0
-    target_acceptance: float = 0.3
-    initial_step_scale: float = 0.1
 
     def __post_init__(self) -> None:
         for name in ("chains", "warmup", "samples_per_chain"):
@@ -146,12 +148,6 @@ class SamplerConfig:
             if int(v) != v or int(v) < 1:
                 raise ValueError(f"{name} must be a count >= 1, got {v!r}")
             object.__setattr__(self, name, int(v))
-        if not 0.0 < self.target_acceptance < 1.0:
-            raise ValueError(f"target_acceptance must lie in (0, 1), "
-                             f"got {self.target_acceptance!r}")
-        if not self.initial_step_scale > 0.0:
-            raise ValueError(f"initial_step_scale must be positive, "
-                             f"got {self.initial_step_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -300,7 +296,7 @@ def _find_mode(log_density, arity: int, rngs):
 def _start(log_density, arity: int, cfg: SamplerConfig):
     """(center, Cholesky factor, step) of the chains: the Laplace fit at
     the mode, found on stream (seed, 2**32 - 1) that no chain uses, and
-    2.38 / sqrt(arity); or the origin, the identity and initial_step_scale
+    2.38 / sqrt(arity); or the origin, the identity and _FALLBACK_STEP
     where there is no finite start or negative-definite Hessian."""
     mode, _ = _find_mode(log_density, arity,
                          [np.random.default_rng([cfg.seed, 2**32 - 1])])
@@ -318,7 +314,7 @@ def _start(log_density, arity: int, cfg: SamplerConfig):
                                         * np.outer(h, h))
             if np.isfinite(factor).all():
                 return mode, factor, 2.38 / math.sqrt(arity)
-    return np.zeros(arity), np.eye(arity), cfg.initial_step_scale
+    return np.zeros(arity), np.eye(arity), _FALLBACK_STEP
 
 
 def _unit_factor(chol: np.ndarray) -> tuple[np.ndarray, float]:
@@ -350,7 +346,6 @@ def _run_chain(log_density, cfg: SamplerConfig, chain: int, center,
 
     factor, gm = _unit_factor(factor)
     step *= gm
-    target = cfg.target_acceptance
     quarter = warmup // 4
     # the factor changes at each quarter of warmup and freezes with the
     # step when sampling starts: one product of increments per segment
@@ -385,8 +380,8 @@ def _run_chain(log_density, cfg: SamplerConfig, chain: int, center,
                 lls.append(ll_prop)
             states.append(eta)
             if t < warmup:
-                step *= math.exp((t + 1.0) ** -0.6
-                                 * ((1.0 if accept else 0.0) - target))
+                step *= math.exp((t + 1.0) ** -0.6 * (
+                    (1.0 if accept else 0.0) - _TARGET_ACCEPTANCE))
     rate = (len(rows) - 1) / cfg.samples_per_chain
     if len(rows) > 1 and rows[1] == 0:      # the first proposal was accepted
         del rows[0], lls[0]

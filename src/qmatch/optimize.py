@@ -14,38 +14,24 @@ import numpy as np
 
 __all__ = ["nelder_mead"]
 
+_INITIAL_STEP = 0.5     # the first simplex: x0 plus this along each axis
+_DIAMETER_TOL = 1e-8    # converged once each vertex is this close to the best
+_MAX_ITER = 20_000
 
-def nelder_mead(f, x0, *, diameter_tol: float = 1e-8,
-                initial_step: float = 0.5, max_iter: int = 20_000):
-    """Minimize f from x0; stops when the simplex diameter falls below
-    diameter_tol.  Returns (x_best, f_best).
+
+def nelder_mead(f, x0):
+    """Minimize f from x0; returns (x_best, f_best).  The tolerance is
+    fixed (simplex diameter 1e-8), and so is the iteration cap: a run
+    still open after 20000 iterations raises rather than returning
+    silently unconverged.
 
     f may return +inf (treated as worse than any finite value); it must
-    never return NaN.  max_iter guards against cycling and raises rather
-    than returning silently unconverged.
+    never return NaN.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
         raise ValueError("x0 must be a non-empty 1-D vector")
     n = x0.size
-
-    verts = [x0.copy()]
-    for i in range(n):
-        v = x0.copy()
-        v[i] += initial_step
-        verts.append(v)
-    vals = []
-    for v in verts:
-        fv = float(f(v))
-        if math.isnan(fv):
-            raise ValueError(f"objective returned NaN at {v}")
-        vals.append(fv)
-
-    def sort_simplex():
-        order = np.argsort(vals, kind="stable")
-        return [verts[i] for i in order], [vals[i] for i in order]
-
-    verts, vals = sort_simplex()
 
     def feval(x):
         fx = float(f(x))
@@ -53,9 +39,22 @@ def nelder_mead(f, x0, *, diameter_tol: float = 1e-8,
             raise ValueError(f"objective returned NaN at {x}")
         return fx
 
-    for _ in range(max_iter):
+    verts = [x0.copy()]
+    for i in range(n):
+        v = x0.copy()
+        v[i] += _INITIAL_STEP
+        verts.append(v)
+    vals = [feval(v) for v in verts]
+
+    def sort_simplex():
+        order = np.argsort(vals, kind="stable")
+        return [verts[i] for i in order], [vals[i] for i in order]
+
+    verts, vals = sort_simplex()
+
+    for _ in range(_MAX_ITER):
         diameter = max(float(np.max(np.abs(v - verts[0]))) for v in verts[1:])
-        if diameter < diameter_tol:
+        if diameter < _DIAMETER_TOL:
             return verts[0], vals[0]
 
         centroid = np.mean(verts[:-1], axis=0)
@@ -91,6 +90,6 @@ def nelder_mead(f, x0, *, diameter_tol: float = 1e-8,
         verts, vals = sort_simplex()
 
     raise RuntimeError(
-        f"simplex failed to shrink below {diameter_tol} in {max_iter} "
+        f"simplex failed to shrink below {_DIAMETER_TOL} in {_MAX_ITER} "
         f"iterations (best value {vals[0]})"
     )

@@ -334,9 +334,13 @@ def penalty_curves(d: Dist, q: float, n: float, x_grid,
 
     os: F(x)^{qN-1} (1-F(x))^{N-qN} f(x);  gn: exp(-(F(x)-q)^2 / 2 sigma^2).
     """
-    q = float(q)
+    q, n, sigma_noise = float(q), float(n), float(sigma_noise)
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q!r}")
+    if not n >= 1.0:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    if not sigma_noise > 0.0:
+        raise ValueError(f"sigma_noise must be positive, got {sigma_noise!r}")
     grid = np.asarray(x_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("x_grid must be a non-empty 1-D vector")
@@ -344,9 +348,9 @@ def penalty_curves(d: Dist, q: float, n: float, x_grid,
         raise ValueError("x_grid must be finite")
     if np.any(np.diff(grid) < 0):
         raise ValueError("x_grid must be sorted ascending")
-    k = q * float(n)
+    k = q * n
     e_lo = k - 1.0
-    e_hi = float(n) - k
+    e_hi = n - k
     log_os = np.empty(grid.size)
     gn_resid = np.empty(grid.size)
     for i, xv in enumerate(grid):

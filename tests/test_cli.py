@@ -314,19 +314,45 @@ class TestReportRoundTrip:
         mean = small_report.params[0].mean
         assert format(mean, ".17g") in text
 
-    @pytest.mark.parametrize("array", [
-        np.array([1.5, math.nan, math.inf, -math.inf, 0.1, -0.0, 5e-324]),
-        np.array([[1.0, math.nan], [math.inf, -2.5], [1e300, -1e-300]]),
-        np.empty(0), np.empty((0, 2)), np.empty((2, 0)),
-        np.arange(5), np.array([], dtype=int), np.arange(6).reshape(2, 3),
-    ])
-    def test_numeric_arrays_emit_as_nested_lists(self, array):
-        # numeric arrays take a joined fast path; the text must equal the
-        # generic path's for the same values given as lists of scalars
-        as_lists = [list(row) for row in array] if array.ndim == 2 \
-            else list(array)
-        assert (_dumps({"a": array, "b": {"c": array}})
-                == _dumps({"a": as_lists, "b": {"c": as_lists}}))
+    @pytest.mark.parametrize("array,text", [
+        (np.array([1.5, math.nan, math.inf, -math.inf, 0.1, -0.0, 5e-324]),
+         "[1.5, NaN, Infinity, -Infinity, 0.10000000000000001, -0.0, "
+         "4.9406564584124654e-324]"),
+        (np.array([[1.0, math.nan], [math.inf, -2.5], [1e300, -1e-300]]),
+         "[\n    [1, NaN],\n    [Infinity, -2.5],\n"
+         "    [1.0000000000000001e+300, -1e-300]\n  ]"),
+        (np.empty(0), "[]"),
+        (np.empty((0, 2)), "[]"),
+        (np.empty((2, 0)), "[\n    [],\n    []\n  ]"),
+        (np.arange(5), "[0, 1, 2, 3, 4]"),
+        (np.array([], dtype=int), "[]"),
+        (np.arange(6).reshape(2, 3), "[\n    [0, 1, 2],\n    [3, 4, 5]\n  ]"),
+    ], ids=[f"array{i}" for i in range(8)])
+    def test_numeric_arrays_emit_as_nested_lists(self, array, text):
+        # `text` is the array's value one level deep; one level further in,
+        # every line after the first is indented by two more spaces
+        assert _dumps({"a": array}) == '{\n  "a": ' + text + "\n}\n"
+        assert _dumps({"b": {"c": array}}) == (
+            '{\n  "b": {\n    "c": ' + text.replace("\n", "\n  ")
+            + "\n  }\n}\n")
+
+    def test_negative_zero_keeps_its_sign(self, small_report):
+        pd = small_report.draws
+        values = pd.draws.copy()
+        values[0, 0] = -0.0
+        ll = pd.log_likelihood.copy()
+        ll[0] = -0.0
+        patched = type(pd)(draws=values, chain_id=pd.chain_id,
+                           log_likelihood=ll, seed=pd.seed,
+                           warmup=pd.warmup,
+                           acceptance_rate=(-0.0,) + pd.acceptance_rate[1:])
+        report = type(small_report)(
+            **{**small_report.__dict__, "draws": patched,
+               "score": type(small_report.score)(-0.0, 0.0, 0.0)})
+        back = report_from_json(report_to_json(report))
+        for value in (back.draws.draws[0, 0], back.draws.log_likelihood[0],
+                      back.draws.acceptance_rate[0], back.score.mean):
+            assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
 
 class TestRankingRoundTrip:
@@ -644,6 +670,15 @@ class TestSimulate:
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
 
+    def test_out_in_a_missing_directory_is_input_error(self, tmp_path,
+                                                      capsys):
+        code, out, err = run_cli(
+            ["simulate", "--dist", "normal", "--params", "3,1.5",
+             "--n", "200", "--out", str(tmp_path / "missing" / "sim.csv")],
+            capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_wrong_arity_is_input_error(self, capsys):
         code, _, err = run_cli(
             ["simulate", "--dist", "normal", "--params", "3",
@@ -759,6 +794,21 @@ class TestCurves:
         code, _, err = run_cli(argv, capsys)
         assert code == 1
         assert "does not apply" in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--n", "0"], "n must be >= 1"),
+        (["--n", "-5"], "n must be >= 1"),
+        (["--n", "100", "--sigma-noise", "0"], "sigma_noise must be positive"),
+        (["--n", "100", "--sigma-noise", "-0.05"],
+         "sigma_noise must be positive"),
+    ], ids=["n=0", "n=-5", "sigma=0", "sigma=-0.05"])
+    def test_impossible_penalty_inputs_are_input_errors(self, flags, message,
+                                                        capsys):
+        code, out, err = run_cli(
+            ["curves", "--mode", "penalty", "--dist", "normal",
+             "--params", "0,1"] + flags, capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}")
 
     def test_missing_required_flag_is_input_error(self, capsys):
         code, _, err = run_cli(

@@ -453,10 +453,6 @@ class TestSamplePosterior:
             SamplerConfig(warmup=0)
         with pytest.raises(ValueError):
             SamplerConfig(samples_per_chain=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(target_acceptance=1.0)
-        with pytest.raises(ValueError):
-            SamplerConfig(initial_step_scale=0.0)
 
 
 def _gaussian_2d(rho):
@@ -483,7 +479,7 @@ class TestAdaptiveProposal:
     def test_learns_a_correlated_target(self, monkeypatch):
         factors = _recorded_factors(monkeypatch)
         cfg = SamplerConfig(seed=1)
-        start = (np.zeros(2), np.eye(2), cfg.initial_step_scale)
+        start = (np.zeros(2), np.eye(2), inference._FALLBACK_STEP)
         blocks = [inference._run_chain(_gaussian_2d(0.99), cfg, c, *start)[0]
                   for c in range(cfg.chains)]
         pd = PosteriorDraws(draws=np.vstack(blocks),
@@ -548,7 +544,7 @@ class TestAdaptiveProposal:
         for center, factor, step in starts:
             np.testing.assert_array_equal(center, np.zeros(2))
             np.testing.assert_array_equal(factor, np.eye(2))
-            assert step == cfg.initial_step_scale
+            assert step == inference._FALLBACK_STEP
 
     @pytest.mark.parametrize("name,country,seed", list(itertools.product(
         ("gamma", "inv_gamma"), ("EL", "LU"), (1, 2))))

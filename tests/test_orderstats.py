@@ -479,3 +479,9 @@ class TestPenaltyCurves:
             penalty_curves(d, 0.5, 100.0, np.array([0.0, math.inf]))
         with pytest.raises(ValueError):
             penalty_curves(d, 0.5, 100.0, np.array([]))
+        for n in (0.0, 0.5, -5.0, math.nan):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                penalty_curves(d, 0.5, n, grid)
+        for sigma in (0.0, -0.05, math.nan):
+            with pytest.raises(ValueError, match="sigma_noise must be"):
+                penalty_curves(d, 0.5, 100.0, grid, sigma_noise=sigma)
