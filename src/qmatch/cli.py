@@ -281,6 +281,8 @@ def _csv_lines(header: str, columns) -> str:
 def cmd_curves(args) -> int:
     _check_mode_flags(args)
     points = args.points
+    if points is not None and points < 1:
+        raise CliError(f"--points must be at least 1, got {points}")
     if args.mode == "penalty":
         d = dist(args.dist, *_parse_floats(args.params, "--params"))
         qs = _parse_floats(args.q or "0.1,0.01,0.001", "--q")
@@ -288,7 +290,7 @@ def cmd_curves(args) -> int:
             lo, hi = _parse_xrange(args.x_range)
         else:
             lo, hi = d.quantile(1e-6), d.quantile(1.0 - 1e-6)
-        grid = np.linspace(lo, hi, points or 2001)
+        grid = np.linspace(lo, hi, 2001 if points is None else points)
         columns = [grid]
         names = ["x"]
         sigma = args.sigma_noise if args.sigma_noise is not None else 0.05
@@ -306,7 +308,7 @@ def cmd_curves(args) -> int:
             lo, hi = _parse_xrange(args.x_range)
         else:
             lo, hi = min(obs.x) * 0.5, max(obs.x) * 2.0
-        grid = np.linspace(lo, hi, points or 201)
+        grid = np.linspace(lo, hi, 201 if points is None else points)
         curve = predictive_cdf(report.draws, report.family, grid)
         _emit_output(_csv_lines("x,mean,lo,hi",
                                 [curve.x, curve.mean, curve.lo, curve.hi]),
@@ -403,7 +405,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=None,
                    help="ensemble mode: replications (default 100)")
     p.add_argument("--x-range", default=None, help="lo:hi grid bounds")
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", type=int, default=None,
+                   help="grid size, at least 1 (default 2001 in penalty "
+                        "mode, 201 in predictive mode)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_curves)

@@ -213,13 +213,14 @@ def gamma_pq(a, x, lga=None):
     a and x broadcast against each other.  Each element takes the branch
     gamma_p and gamma_q take, and the other value is one minus it, so
     P and Q keep full relative accuracy in their own tails.  ``lga`` is
-    ln Gamma(a), for callers that evaluate the same a repeatedly.
-    Arguments are not validated.
+    ln Gamma(a), for callers that evaluate the same a repeatedly.  Without
+    it, ln Gamma is computed on a as passed, before a is broadcast against
+    x: a of shape (1, n) against x of shape (m, 1) costs n evaluations,
+    not m * n.  Arguments are not validated.
     """
-    a, x = np.broadcast_arrays(np.asarray(a, dtype=float),
-                               np.asarray(x, dtype=float))
-    lga = (_lgamma(a) if lga is None
-           else np.broadcast_to(np.asarray(lga, dtype=float), a.shape))
+    a = np.asarray(a, dtype=float)
+    lga = _lgamma(a) if lga is None else np.asarray(lga, dtype=float)
+    a, x, lga = np.broadcast_arrays(a, np.asarray(x, dtype=float), lga)
     p = np.zeros(a.shape)
     q = np.ones(a.shape)
     top = np.isinf(x)

@@ -170,3 +170,18 @@ def reference_gaussian_noise_loglik(d, obs, sigma_noise):
         r = qm - cdf(xm)
         total += const - r * r * inv_two_var
     return total
+
+
+def reference_predictive_cdf(pd, family, grid):
+    """predictive_cdf one grid point at a time: (mean, lo, hi) of each
+    point's per-draw CDF values, by ``.mean()`` and ``np.quantile``."""
+    from qmatch.distributions import cdf
+
+    theta = tuple(np.ascontiguousarray(pd.draws.T))
+    grid = np.asarray(grid, dtype=float)
+    mean, lo, hi = (np.empty(grid.size) for _ in range(3))
+    for j, x in enumerate(grid):
+        values = cdf(family, theta, x)
+        mean[j] = values.mean()
+        lo[j], hi[j] = np.quantile(values, (0.05, 0.95))
+    return mean, lo, hi

@@ -810,6 +810,20 @@ class TestCurves:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    @pytest.mark.parametrize("mode_flags", [
+        ["--mode", "penalty", "--dist", "normal", "--params", "0,1",
+         "--n", "1000"],
+        ["--mode", "predictive", "--report", "r.json"],
+    ], ids=["penalty", "predictive"])
+    def test_points_below_one_is_input_error(self, mode_flags, points,
+                                             capsys):
+        # checked before the report is read, so r.json need not exist
+        code, out, err = run_cli(
+            ["curves"] + mode_flags + ["--points", points], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: --points must be at least 1, got {points}\n"
+
     def test_missing_required_flag_is_input_error(self, capsys):
         code, _, err = run_cli(
             ["curves", "--mode", "penalty", "--dist", "normal",

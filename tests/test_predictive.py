@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from qmatch import predictive
 from qmatch.distributions import cdf, dist, get_family
 from qmatch.inference import (
     PosteriorDraws,
@@ -26,6 +27,8 @@ from qmatch.predictive import (
     predictive_sample,
     score_model,
 )
+
+from helpers import reference_predictive_cdf
 
 QUARTILES = (0.25, 0.5, 0.75)
 
@@ -56,16 +59,37 @@ def el_chi_square(el_obs):
     return model, sample_posterior(model, SamplerConfig(seed=11))
 
 
-def single_draw_pd(theta) -> PosteriorDraws:
-    """A degenerate posterior concentrated on one parameter vector."""
+def draws_pd(draws) -> PosteriorDraws:
+    """One chain holding the given (n, d) parameter rows as its draws."""
+    draws = np.asarray(draws, dtype=float)
     return PosteriorDraws(
-        draws=np.asarray([theta], dtype=float),
-        chain_id=np.zeros(1, dtype=np.intp),
-        log_likelihood=np.zeros(1),
+        draws=draws,
+        chain_id=np.zeros(len(draws), dtype=np.intp),
+        log_likelihood=np.zeros(len(draws)),
         seed=0,
         warmup=0,
         acceptance_rate=(1.0,),
     )
+
+
+# parameter draws with medians near 1, as in the normalized salary fits,
+# from two columns of standard normals z
+_SPREAD = {
+    "gamma": lambda z: (np.exp(1.0 + 0.3 * z[0]), np.exp(-1.0 + 0.2 * z[1])),
+    "lognormal": lambda z: (0.1 * z[0], np.exp(-0.7 + 0.1 * z[1])),
+    "weibull": lambda z: (np.exp(0.5 + 0.2 * z[0]), np.exp(0.1 * z[1])),
+}
+
+
+def spread_pd(family, n_draws) -> PosteriorDraws:
+    """n_draws parameter rows of family, scattered like a posterior."""
+    z = np.random.default_rng(7).standard_normal((2, n_draws))
+    return draws_pd(np.column_stack(_SPREAD[family](z)))
+
+
+def single_draw_pd(theta) -> PosteriorDraws:
+    """A degenerate posterior concentrated on one parameter vector."""
+    return draws_pd([theta])
 
 
 class TestPredictiveCdf:
@@ -117,6 +141,44 @@ class TestPredictiveCdf:
                                    rtol=0, atol=1e-15)
         np.testing.assert_allclose(curve.hi, np.quantile(block, 0.95, axis=0),
                                    rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("family", ["gamma", "lognormal", "weibull"])
+    @pytest.mark.parametrize("size", ["one", "block", "block_plus_one",
+                                      "default"])
+    def test_blocks_match_per_point_reference(self, family, size):
+        pd = spread_pd(family, 4000)
+        rows = max(1, predictive._CDF_BLOCK_ELEMENTS // pd.n_draws)
+        n = {"one": 1, "block": rows, "block_plus_one": rows + 1,
+             "default": 201}[size]
+        grid = np.linspace(0.02, 6.0, n)
+        curve = predictive_cdf(pd, family, grid)
+        for got, want in zip((curve.mean, curve.lo, curve.hi),
+                             reference_predictive_cdf(pd, family, grid)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_draws", [
+        4000, predictive._CDF_BLOCK_ELEMENTS + 1])
+    def test_blocks_stay_within_the_element_budget(self, n_draws,
+                                                   monkeypatch):
+        # more draws than the budget leaves one grid point per block
+        pd = spread_pd("gamma", n_draws)
+        grid = np.linspace(0.05, 8.0, 11)
+        rows = max(1, predictive._CDF_BLOCK_ELEMENTS // n_draws)
+        shapes = []
+
+        def recording_cdf(family, theta, x):
+            values = cdf(family, theta, x)
+            shapes.append(values.shape)
+            return values
+
+        monkeypatch.setattr(predictive, "cdf", recording_cdf)
+        curve = predictive_cdf(pd, "gamma", grid)
+        monkeypatch.undo()
+        assert shapes == [(min(rows, grid.size - j), n_draws)
+                          for j in range(0, grid.size, rows)]
+        for got, want in zip((curve.mean, curve.lo, curve.hi),
+                             reference_predictive_cdf(pd, "gamma", grid)):
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_bad_grid(self, el_gamma):
         _, pd = el_gamma

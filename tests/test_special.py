@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qmatch import special
 from qmatch.distributions import cdf, dist
 from qmatch.special import (
     gamma_p,
@@ -116,6 +117,33 @@ class TestIncompleteGamma:
         assert p.shape == q.shape == (2, 3)
         assert gamma_pq(2.0, 1.0)[0].shape == ()
         assert gamma_pq(np.empty(0), 1.0)[0].shape == (0,)
+
+    def test_log_gamma_runs_before_broadcasting(self, monkeypatch):
+        # a as a (1, D) row against x as a (B, 1) column: ln Gamma runs on
+        # the D values of a, and P, Q equal the call on broadcast arrays
+        rng = np.random.default_rng(5)
+        a = np.exp(rng.uniform(math.log(0.1), math.log(500.0), (1, 300)))
+        x = np.exp(rng.uniform(math.log(0.01), math.log(800.0), (4, 1)))
+        want_p, want_q = gamma_pq(*(np.ascontiguousarray(v) for v in
+                                    np.broadcast_arrays(a, x)))
+        sizes = []
+        lgamma = special._lgamma
+
+        def recording_lgamma(v):
+            sizes.append(np.size(v))
+            return lgamma(v)
+
+        monkeypatch.setattr(special, "_lgamma", recording_lgamma)
+        got_p, got_q = gamma_pq(a, x)
+        assert sizes == [a.size]
+        assert got_p.shape == got_q.shape == (4, 300)
+        assert got_p.tobytes() == want_p.tobytes()
+        assert got_q.tobytes() == want_q.tobytes()
+        sizes.clear()
+        given_p, given_q = gamma_pq(a, x, lga=lgamma(a))
+        assert sizes == []
+        assert given_p.tobytes() == want_p.tobytes()
+        assert given_q.tobytes() == want_q.tobytes()
 
     def test_deep_tails_keep_relative_accuracy(self):
         # the far upper tail must not be computed as 1 - P
