@@ -2,18 +2,17 @@
 
 A dataset is a small CSV with a `q,x` header, one row per quantile, and a
 `# meta:` comment line carrying the hidden sample size N (and optionally
-the scale divisor).  Reports are JSON with a fixed key order and every
-float printed at 17 significant digits (-0.0 keeps its sign), so
-parse/serialize round-trips are lossless and a rerun with the same seed
-produces byte-identical files.  Number sequences are written from numpy
-arrays, and summary records from their dataclass fields, in field order.
-All writes go through a temp-file-then-rename step.
+the scale divisor).  Reports are one line of ``json.dumps`` with a fixed
+key order and each float in its shortest round-trip repr (NaN, Infinity,
+-0.0 too), so parse/serialize round-trips are lossless and a rerun with
+the same seed produces byte-identical files.  Number sequences are
+written from numpy arrays, and summary records from their dataclass
+fields, in field order.  All writes go through a temp-file-then-rename.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import tempfile
@@ -178,76 +177,6 @@ def write_dataset(path, obs: QuantileObservation) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON emission with fixed float formatting
-
-def _float_token(v: float) -> str:
-    v = float(v)
-    if math.isnan(v):
-        return "NaN"
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
-    text = format(v, ".17g")
-    return "-0.0" if text == "-0" else text   # "-0" reads back as int 0
-
-
-def _emit(obj, indent: int, out: list) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_float_token(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f"{inner}{json.dumps(key)}: ")
-            _emit(value, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif (isinstance(obj, np.ndarray) and obj.dtype.kind in "fi"
-          and 1 <= obj.ndim <= 2):
-        # every number sequence: a vector on one line, a matrix one row
-        # per line, one join per row
-        token = _float_token if obj.dtype.kind == "f" else str
-        if obj.ndim == 1:
-            out.append("[" + ", ".join(map(token, obj.tolist())) + "]")
-        elif obj.shape[0] == 0:
-            out.append("[]")
-        else:
-            out.append("[\n" + ",\n".join(
-                inner + "[" + ", ".join(map(token, row)) + "]"
-                for row in obj.tolist()) + "\n" + pad + "]")
-    elif isinstance(obj, list):
-        # records: one dict per line
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(inner)
-            _emit(value, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _dumps(payload: dict) -> str:
-    out: list = []
-    _emit(payload, 0, out)
-    return "".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # fit reports
 
 _FORMAT_REPORT = "qmatch-report"
@@ -296,8 +225,9 @@ def _report_body(report: FitReport) -> dict:
 
 
 def report_to_json(report: FitReport) -> str:
-    return _dumps({"format": _FORMAT_REPORT, "version": _VERSION,
-                   **_report_body(report)})
+    return json.dumps({"format": _FORMAT_REPORT, "version": _VERSION,
+                       **_report_body(report)},
+                      default=np.ndarray.tolist) + "\n"
 
 
 def _parse_obs(payload: dict) -> QuantileObservation:
@@ -379,14 +309,14 @@ def report_from_json(text: str) -> FitReport:
 def ranking_to_json(ranked, failures=()) -> str:
     """Serialize compare results: ranked reports plus recorded failures."""
     ranked = tuple(ranked)
-    return _dumps({
+    return json.dumps({
         "format": _FORMAT_RANKING,
         "version": _VERSION,
         "observation": _obs_payload(ranked[0].obs),
         "best": ranked[0].family,
         "ranking": [_report_body(r) for r in ranked],
         "failures": [{"family": f, "error": e} for f, e in failures],
-    })
+    }, default=np.ndarray.tolist) + "\n"
 
 
 def ranking_from_json(text: str):

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Dist, FamilySpec, get_family
+from .distributions import _CDF, FamilySpec, get_family
+from . import orderstats
 from .optimize import nelder_mead
 from .orderstats import LIKELIHOOD_KINDS, QuantileObservation, compile_loglik
 
@@ -276,6 +277,18 @@ def _random_start(f, rng: np.random.Generator, center, factor):
     return eta, None
 
 
+def _no_start(message: str, tries: int, ties_before: int) -> RuntimeError:
+    """The error for a density that was -inf at all `tries` starts, with the
+    cause if each start tied the CDF values (``orderstats.tie_events`` rose
+    by `tries` since `ties_before`), and the remedy."""
+    cause = ("every try tied the model's CDF values at the observed x, as "
+             "data far from the origin do"
+             if orderstats.tie_events - ties_before == tries
+             else "data far from the origin can do this")
+    return RuntimeError(f"{message}; {cause}: rescale x with the dataset's "
+                        f"scale_divisor or --divisor")
+
+
 def _find_mode(log_density, arity: int, rngs):
     """Nelder-Mead maximum of log_density from one N(0, 1) start per
     generator: (eta, log density), or (None, -inf) if none is finite."""
@@ -334,11 +347,11 @@ def _run_chain(log_density, cfg: SamplerConfig, chain: int, center,
     """
     arity = len(center)
     rng = np.random.default_rng([cfg.seed, chain])
+    ties = orderstats.tie_events
     eta, lp = _random_start(lambda e: log_density(e)[0], rng, center, factor)
     if lp is None:
-        raise RuntimeError(
-            f"failed to find a finite starting point in 100 tries; last eta "
-            f"= {np.asarray(eta)}")
+        raise _no_start(f"failed to find a finite starting point in 100 "
+                        f"tries; last eta = {np.asarray(eta)}", 100, ties)
 
     warmup = cfg.warmup
     z = rng.standard_normal((warmup + cfg.samples_per_chain, arity))
@@ -454,13 +467,14 @@ def map_estimate(model: ModelSpec, restarts: int = 1,
     """
     if int(restarts) < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts!r}")
+    ties = orderstats.tie_events
     best_eta, best_val = _find_mode(
         _log_density(model, jacobian=False), model.family.arity,
         (np.random.default_rng([seed, r]) for r in range(int(restarts))))
     if best_eta is None:
-        raise RuntimeError(
-            f"log posterior was -inf at every initialization "
-            f"({restarts} restarts x 100 tries)")
+        raise _no_start(f"log posterior was -inf at every initialization "
+                        f"({restarts} restarts x 100 tries)",
+                        100 * int(restarts), ties)
     theta, _ = to_constrained(model.family, best_eta)
     return theta, best_val
 
@@ -477,14 +491,14 @@ def mse_fit(family, obs: QuantileObservation, restarts: int = 1,
     """
     spec = get_family(family) if isinstance(family, str) else family
     mode, _ = map_estimate(build_model(spec, obs), restarts, seed)
+    cdf = _CDF[spec.name]
 
     def objective(eta):
-        theta, _ = to_constrained(spec, eta)
+        theta = to_constrained(spec, eta)[0].tolist()
         for v in theta:
             if v == 0.0 or not math.isfinite(v):
                 return math.inf
-        d = Dist(spec, tuple(theta))
-        return math.fsum((qm - d.cdf(xm)) ** 2
+        return math.fsum((qm - cdf(theta, xm)) ** 2
                          for qm, xm in zip(obs.q, obs.x))
 
     eta, _ = nelder_mead(objective, to_unconstrained(spec, mode))

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 
@@ -13,7 +14,6 @@ import pytest
 
 from qmatch.dataio import (
     DataError,
-    _dumps,
     dataset_text,
     ranking_from_json,
     ranking_to_json,
@@ -23,7 +23,7 @@ from qmatch.dataio import (
     write_dataset,
 )
 from qmatch.datasets import COUNTRY_CODES, dataset_path, load_salaries
-from qmatch import cli
+from qmatch import cli, dataio
 from qmatch.cli import main
 from qmatch.distributions import FAMILY_NAMES, dist
 from qmatch.inference import SamplerConfig, build_model, sample_posterior
@@ -237,6 +237,84 @@ def small_report():
     return make_fit_report(model, pd, predictive_ps=(0.5, 0.99))
 
 
+# a version-1 report in the layout of the earlier writer: indented, floats at
+# 17 significant digits, integral floats without a point
+OLD_LAYOUT_REPORT = """{
+  "format": "qmatch-report",
+  "version": 1,
+  "family": "gamma",
+  "likelihood_kind": "order_statistics",
+  "sigma_noise": 0.10000000000000001,
+  "seed": 5,
+  "observation": {
+    "q": [0.25, 0.5, 0.75],
+    "x": [4930, 7500, 11000],
+    "n_total": 12918,
+    "scale_divisor": 7500
+  },
+  "params": [
+    {
+      "name": "shape",
+      "mean": 2.6666666666666665,
+      "sd": 0.20000000000000001,
+      "q05": 2.5,
+      "q50": 2.5,
+      "q95": 3
+    },
+    {
+      "name": "scale",
+      "mean": 0.17777777777777778,
+      "sd": 0.10000000000000001,
+      "q05": 0.10000000000000001,
+      "q50": 0.10000000000000001,
+      "q95": 0.33333333333333331
+    }
+  ],
+  "diagnostics": {
+    "r_hat": [1, NaN],
+    "ess": [3, 2]
+  },
+  "score": {
+    "mean": 10.199999999999999,
+    "minus": 0.5,
+    "plus": Infinity
+  },
+  "predictive": [
+    {
+      "p": 0.98999999999999999,
+      "value": 4.9406564584124654e-324,
+      "lo": 0,
+      "hi": 10000000000000000
+    }
+  ],
+  "draws": {
+    "values": [
+      [2.5, 0.10000000000000001],
+      [2.5, 0.10000000000000001],
+      [3, 0.33333333333333331]
+    ],
+    "chain_id": [0, 0, 1],
+    "log_likelihood": [-0.0, -0.0, -1.0000000000000001e+300],
+    "warmup": 2,
+    "acceptance_rate": [0.5, 1]
+  }
+}
+"""
+
+
+def _bits(value):
+    """A JSON value with each number replaced by the bytes of its double, so
+    equal results mean the same keys in the same order and the same numbers
+    bit for bit, sign of zero and NaN included."""
+    if isinstance(value, dict):
+        return [(k, _bits(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return struct.pack("<d", value)
+    return value
+
+
 class TestReportRoundTrip:
     def test_lossless(self, small_report):
         text = report_to_json(small_report)
@@ -309,32 +387,53 @@ class TestReportRoundTrip:
         with pytest.raises(DataError, match="missing"):
             report_from_json(json.dumps(payload))
 
-    def test_floats_printed_at_17_significant_digits(self, small_report):
+    def test_floats_printed_as_their_repr(self, small_report):
         text = report_to_json(small_report)
-        mean = small_report.params[0].mean
-        assert format(mean, ".17g") in text
+        p = small_report.params[0]
+        assert f'"mean": {float(p.mean)!r}, "sd": {float(p.sd)!r},' in text
 
-    @pytest.mark.parametrize("array,text", [
+    @pytest.mark.parametrize("array,shape", [
         (np.array([1.5, math.nan, math.inf, -math.inf, 0.1, -0.0, 5e-324]),
-         "[1.5, NaN, Infinity, -Infinity, 0.10000000000000001, -0.0, "
-         "4.9406564584124654e-324]"),
+         (7,)),
         (np.array([[1.0, math.nan], [math.inf, -2.5], [1e300, -1e-300]]),
-         "[\n    [1, NaN],\n    [Infinity, -2.5],\n"
-         "    [1.0000000000000001e+300, -1e-300]\n  ]"),
-        (np.empty(0), "[]"),
-        (np.empty((0, 2)), "[]"),
-        (np.empty((2, 0)), "[\n    [],\n    []\n  ]"),
-        (np.arange(5), "[0, 1, 2, 3, 4]"),
-        (np.array([], dtype=int), "[]"),
-        (np.arange(6).reshape(2, 3), "[\n    [0, 1, 2],\n    [3, 4, 5]\n  ]"),
+         (3, 2)),
+        (np.empty(0), (0,)),
+        (np.empty((0, 2)), (0,)),   # JSON keeps no width without a row
+        (np.empty((2, 0)), (2, 0)),
+        (np.arange(5), (5,)),
+        (np.array([], dtype=int), (0,)),
+        (np.arange(6).reshape(2, 3), (2, 3)),
     ], ids=[f"array{i}" for i in range(8)])
-    def test_numeric_arrays_emit_as_nested_lists(self, array, text):
-        # `text` is the array's value one level deep; one level further in,
-        # every line after the first is indented by two more spaces
-        assert _dumps({"a": array}) == '{\n  "a": ' + text + "\n}\n"
-        assert _dumps({"b": {"c": array}}) == (
-            '{\n  "b": {\n    "c": ' + text.replace("\n", "\n  ")
-            + "\n  }\n}\n")
+    def test_numeric_arrays_emit_as_nested_lists(self, array, shape,
+                                                 monkeypatch):
+        # the report writer, given a body that holds only the array, at two
+        # nesting depths
+        monkeypatch.setattr(dataio, "_report_body",
+                            lambda report: {"a": array, "b": {"c": array}})
+        payload = json.loads(report_to_json(None))
+        for back in (payload["a"], payload["b"]["c"]):
+            assert np.shape(back) == shape
+            assert _bits(back) == _bits(array.tolist())
+
+    def test_old_indented_layout_reads_to_the_same_report(self):
+        old = report_from_json(OLD_LAYOUT_REPORT)
+        text = report_to_json(old)
+        assert "\n" not in text[:-1]
+        assert '"sigma_noise": 0.1,' in text
+        new = report_from_json(text)
+        assert _bits(json.loads(text)) == _bits(json.loads(OLD_LAYOUT_REPORT))
+        for field in ("family", "likelihood_kind", "sigma_noise", "params",
+                      "score", "predictive", "obs", "seed"):
+            assert getattr(new, field) == getattr(old, field)
+        assert new.params[1].q95 == 1 / 3
+        assert new.predictive[0].value == 5e-324
+        assert new.diag.r_hat[0] == 1.0 and math.isnan(new.diag.r_hat[1])
+        assert new.diag.ess == old.diag.ess == (3.0, 2.0)
+        for name in ("draws", "chain_id", "log_likelihood"):
+            a, b = getattr(new.draws, name), getattr(old.draws, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert new.draws.acceptance_rate == old.draws.acceptance_rate
+        assert math.copysign(1.0, new.draws.log_likelihood[0]) == -1.0
 
     def test_negative_zero_keeps_its_sign(self, small_report):
         pd = small_report.draws
@@ -382,6 +481,26 @@ class TestFit:
         assert ("warning" in err) == (code == 2)
         assert report.family == "gamma"
         assert report.seed == 7
+
+    @pytest.mark.parametrize("family", ["gamma", "chi_square"])
+    def test_no_finite_start_names_the_ties_and_the_divisor(
+            self, tmp_path, family, capsys):
+        # quartiles of normal(1000, 1): this far from the origin, every
+        # N(0, 1) start ties the three CDF values
+        data = tmp_path / "far.csv"
+        data.write_text("# meta: N=10000\nq,x\n0.25,999.3255\n0.5,1000\n"
+                        "0.75,1000.6745\n")
+        out = tmp_path / "report.json"
+        argv = ["fit", str(data), "--family", family, "--out", str(out)]
+        code, _, err = run_cli(argv + TINY, capsys)
+        assert code == 1
+        assert "failed to find a finite starting point" in err
+        assert "every try tied the model's CDF values" in err
+        assert "scale_divisor or --divisor" in err
+        assert not out.exists()
+        code, _, err = run_cli(argv + ["--divisor", "1000"] + TINY, capsys)
+        assert code == 0, err
+        assert report_from_json(out.read_text()).obs.scale_divisor == 1000.0
 
     def test_score_matches_published_value(self, el_report_path):
         report = report_from_json(open(el_report_path).read())

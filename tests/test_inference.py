@@ -608,6 +608,29 @@ class TestMapEstimate:
         with pytest.raises(RuntimeError, match="initialization"):
             map_estimate(unreachable, restarts=2)
 
+    def test_no_start_error_names_the_cause_and_the_remedy(self):
+        # quartiles of normal(1000, 1), not rescaled: every start ties the
+        # CDF values; a prior whose density underflows at every start
+        # rejects them without a tie
+        far = QuantileObservation(q=(0.25, 0.5, 0.75),
+                                  x=(999.3255, 1000.0, 1000.6745),
+                                  n_total=10_000)
+        with pytest.raises(RuntimeError, match=(
+                r"\(2 restarts x 100 tries\); every try tied the model's "
+                r"CDF values .*: rescale x with the dataset's scale_divisor "
+                r"or --divisor$")):
+            map_estimate(build_model("gamma", far), restarts=2)
+        narrow = ModelSpec(family=get_family("gamma"),
+                           prior=PriorSpec((0.0, 0.0), (1e-300, 1e-300)),
+                           obs=el_obs())
+        for fit in (lambda: map_estimate(narrow),
+                    lambda: sample_posterior(narrow, SamplerConfig(chains=1))):
+            with pytest.raises(RuntimeError,
+                               match="far from the origin can do this: "
+                                     "rescale x") as info:
+                fit()
+            assert "tied" not in str(info.value)
+
 
 class TestMseFit:
     def test_zero_residual_recovery(self):

@@ -1,5 +1,5 @@
-"""Package hygiene: every exported name exists, and importing the CLI
-stays cheap."""
+"""Package hygiene: every exported name exists, the package runs on numpy
+alone, and importing the CLI stays cheap."""
 
 import importlib
 import os
@@ -21,13 +21,29 @@ def test_every_all_entry_resolves():
         exec(f"from {name} import *", {})
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # compare imports its pool when it runs, so other commands start faster
-    code = ("import sys, qmatch.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+def _run_fresh(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this qmatch."""
     src = str(Path(qmatch.__file__).resolve().parent.parent)
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # compare imports its pool when it runs, so other commands start faster
+    code = ("import sys, qmatch.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    assert _run_fresh(code) == "[]"
+
+
+def test_every_module_imports_without_scipy_or_mpmath():
+    # they are test-only oracles; a None entry makes any import of them fail
+    code = ("import sys; sys.modules['scipy'] = sys.modules['mpmath'] = None\n"
+            "import importlib, pkgutil, qmatch\n"
+            "for m in pkgutil.iter_modules(qmatch.__path__):\n"
+            "    importlib.import_module(f'qmatch.{m.name}')\n"
+            "print(sorted(m.name for m in pkgutil.iter_modules(qmatch.__path__)))")
+    assert _run_fresh(code) == str(sorted(
+        m.name for m in pkgutil.iter_modules(qmatch.__path__)))
