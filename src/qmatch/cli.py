@@ -6,7 +6,8 @@ back and evaluates predictive quantiles, `simulate` writes a synthetic
 dataset, and `curves` dumps plot-ready CSV grids (penalty curves,
 predictive CDF bands, or an empirical-CDF ensemble).
 
-`compare` fits in up to one worker process per core; same bytes at any count.
+`compare` fits in up to one worker process per usable CPU, each of which also
+encodes its report's ranking entry; same bytes at any count.
 
 Exit codes: 0 success, 1 input error, 2 completed with warnings (fit did
 not pass the convergence check, or some compared families failed).
@@ -19,13 +20,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import (
+    _ranking_entry,
+    _ranking_text,
     dataset_text,
-    ranking_to_json,
     read_dataset,
     report_from_json,
     report_to_json,
@@ -165,6 +168,21 @@ def _fit_one(family: str, obs, likelihood_kind: str, sigma_noise: float,
     return make_fit_report(model, pd, include_draws=include_draws)
 
 
+def _compare_one(family: str, obs, *settings):
+    """A compare worker's fit: the report without its draws, which the
+    parent does not read, and the report's encoded ranking entry."""
+    report = _fit_one(family, obs, *settings)
+    return replace(report, draws=None), _ranking_entry(report)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_fit(args) -> int:
     obs = read_dataset(args.data, n_total=args.n_total,
                        scale_divisor=args.divisor)
@@ -198,22 +216,25 @@ def cmd_compare(args) -> int:
             raise CliError(f"unknown families: {', '.join(unknown)}; "
                            f"choices: {', '.join(FAMILY_NAMES)}")
     settings = _fit_settings(args)
-    reports, failures = [], []
-    with ProcessPoolExecutor(min(len(families), os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(_fit_one, family, obs, *settings)
+    reports, entries, failures = [], {}, []
+    with ProcessPoolExecutor(min(len(families), _usable_cpus())) as pool:
+        futures = [pool.submit(_compare_one, family, obs, *settings)
                    for family in families]
         for family, future in zip(families, futures):
             try:
-                reports.append(future.result())
+                report, entries[family] = future.result()
             except BrokenProcessPool:
                 raise  # a worker died: the whole compare fails, exit 1
             except (ValueError, RuntimeError) as exc:
                 failures.append((family, str(exc)))
+            else:
+                reports.append(report)
     if not reports:
         detail = "; ".join(f"{f}: {e}" for f, e in failures)
         raise CliError(f"every family failed to fit: {detail}")
     ranked = compare_models(reports)
-    _emit_output(ranking_to_json(ranked, failures), args.out)
+    _emit_output(_ranking_text(ranked, [entries[r.family] for r in ranked],
+                               failures), args.out)
     notes = _convergence_warnings(ranked)
     for family, error in failures:
         print(f"warning: {family} failed: {error}", file=sys.stderr)

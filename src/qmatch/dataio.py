@@ -7,7 +7,11 @@ key order and each float in its shortest round-trip repr (NaN, Infinity,
 -0.0 too), so parse/serialize round-trips are lossless and a rerun with
 the same seed produces byte-identical files.  Number sequences are
 written from numpy arrays, and summary records from their dataclass
-fields, in field order.  All writes go through a temp-file-then-rename.
+fields, in field order.  A ranking file is written from each report's
+encoded entry, spliced into the ranking in ranked order; ``qmatch
+compare`` encodes each entry in the worker process that fitted the report,
+and ``ranking_to_json`` encodes them in turn, to the same bytes.  All
+writes go through a temp-file-then-rename.
 """
 
 from __future__ import annotations
@@ -306,17 +310,35 @@ def report_from_json(text: str) -> FitReport:
         raise DataError(f"report is missing or mis-typed field: {exc}")
 
 
-def ranking_to_json(ranked, failures=()) -> str:
-    """Serialize compare results: ranked reports plus recorded failures."""
-    ranked = tuple(ranked)
-    return json.dumps({
+def _ranking_entry(report: FitReport) -> str:
+    """One report's entry in a ranking file, as JSON text."""
+    return json.dumps(_report_body(report), default=np.ndarray.tolist)
+
+
+def _ranking_text(ranked, entries, failures) -> str:
+    # the ranking file with each report's encoded entry spliced in, in
+    # ranked order: the same bytes as json.dumps of the whole payload.  It
+    # is joined once, as a second copy of the entries lifts peak memory.
+    head = json.dumps({
         "format": _FORMAT_RANKING,
         "version": _VERSION,
         "observation": _obs_payload(ranked[0].obs),
         "best": ranked[0].family,
-        "ranking": [_report_body(r) for r in ranked],
-        "failures": [{"family": f, "error": e} for f, e in failures],
-    }, default=np.ndarray.tolist) + "\n"
+    }, default=np.ndarray.tolist)
+    tail = json.dumps({"failures": [{"family": f, "error": e}
+                                    for f, e in failures]})
+    parts = [f'{head[:-1]}, "ranking": [']
+    for entry in entries:
+        parts += [entry, ", "]
+    parts[-1] = f"], {tail[1:]}\n"
+    return "".join(parts)
+
+
+def ranking_to_json(ranked, failures=()) -> str:
+    """Serialize compare results: ranked reports plus recorded failures."""
+    ranked = tuple(ranked)
+    return _ranking_text(ranked, [_ranking_entry(r) for r in ranked],
+                         failures)
 
 
 def ranking_from_json(text: str):

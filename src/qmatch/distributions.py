@@ -31,9 +31,16 @@ only as an array kernel: closed forms where they exist, the AS241 normal
 inverse, and a bracketed Newton inverse of the incomplete gamma otherwise;
 either way ``|cdf(ppf(p)) - p| <= 1e-10``.  ``Dist.quantile`` and
 ``Dist.sample`` go through it.  The scalar ``Dist.log_pdf`` and
-``Dist.cdf`` stay plain-float code, because the likelihood evaluates only
-a handful of points per call, where numpy's per-call overhead outweighs
-the work.  Sampling is inverse-transform from a ``numpy.random.Generator``
+``Dist.cdf`` kernels are plain-float code; the Gaussian-noise likelihood,
+``mse_fit`` and ``penalty_curves`` call them.  The order-statistics
+likelihood calls a third kind: ``_TERMS[name](xs)`` is a fused kernel that
+returns ``theta -> (CDF values, log-density values)`` at the observed x.
+It takes log x once per fit and the parameters' logs and ln Gamma once
+per theta, and shares z, x / scale, its log and the Weibull/Frechet t
+between a point's CDF and log-density, with the scalar kernels' values
+bit for bit.  A handful of points per call is too few for numpy's
+per-call overhead to pay.  Sampling is inverse-transform from a
+``numpy.random.Generator``
 uniform stream, which keeps every family on one code path and makes draws
 reproducible from the seed alone.
 """
@@ -45,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import (gamma_p, gamma_pq, gamma_pq_inverse, gamma_q,
-                      std_normal_ppf)
+from .special import (_incomplete_gamma, gamma_p, gamma_pq, gamma_pq_inverse,
+                      gamma_q, std_normal_ppf)
 
 __all__ = [
     "FAMILY_NAMES",
@@ -143,7 +150,15 @@ def _check_x(x: float) -> float:
 
 
 # --- scalar kernels; theta is the validated constrained vector ------------
-# These serve the likelihood, a few points per call.
+# These serve Dist, the Gaussian-noise likelihood, mse_fit and
+# penalty_curves, one point per call.
+
+
+def _edge_log_pdf(shape: float, log_scale: float) -> float:
+    # limit at x = 0 of a density ~ x^(shape - 1) / scale
+    if shape > 1.0:
+        return -_INF
+    return -log_scale if shape == 1.0 else _INF
 
 
 def _normal_log_pdf(theta, x):
@@ -180,11 +195,7 @@ def _weibull_log_pdf(theta, x):
     if r == 0.0:
         # limit of the density at the support edge, also taken where a
         # subnormal x / lam underflows to 0
-        if k > 1.0:
-            return -_INF
-        if k == 1.0:
-            return -math.log(lam)
-        return _INF
+        return _edge_log_pdf(k, math.log(lam))
     lz = math.log(r)
     lt = k * lz
     t = math.exp(lt) if lt < _LOG_EXP_OVERFLOW else _INF
@@ -206,11 +217,7 @@ def _gamma_log_pdf(theta, x):
     if x < 0.0:
         return -_INF
     if x == 0.0:
-        if a > 1.0:
-            return -_INF
-        if a == 1.0:
-            return -math.log(s)
-        return _INF
+        return _edge_log_pdf(a, math.log(s))
     return (a - 1.0) * math.log(x) - x / s - math.lgamma(a) - a * math.log(s)
 
 
@@ -262,11 +269,7 @@ def _chi_square_log_pdf(theta, x):
         return -_INF
     h = 0.5 * nu
     if x == 0.0:
-        if nu > 2.0:
-            return -_INF
-        if nu == 2.0:
-            return -math.log(2.0)
-        return _INF
+        return _edge_log_pdf(h, math.log(2.0))
     return ((h - 1.0) * math.log(x) - 0.5 * x - math.lgamma(h)
             - h * math.log(2.0))
 
@@ -302,6 +305,201 @@ def _cauchy_cdf(theta, x):
     loc, sc = theta
     # atan2 form keeps full relative accuracy in the lower tail
     return math.atan2(1.0, -(x - loc) / sc) / math.pi
+
+
+# --- fused likelihood kernels: _TERMS[name](xs) precomputes what depends
+# only on the observed x (log x, 0.5 x) and returns theta -> (CDF values,
+# log-density values) at xs.  Per theta it takes the parameters' logs and
+# ln Gamma once; per point the CDF and the log-density share z, r = x / s,
+# log r and t.  Every value is the scalar kernels' above, bit for bit: the
+# same operations in the same order, support branches included.  ln Gamma
+# is taken before the first point, so where it fails (shape above 2.5e305,
+# past the sampler's exp(700) cap, or chi_square's df 5e-324 halved to 0)
+# the kernel raises even when no point would have reached it.
+
+
+def _log_x(xs):
+    return tuple((x, math.log(x) if x > 0.0 else 0.0) for x in xs)
+
+
+def _normal_terms(xs):
+    log, erfc = math.log, math.erfc
+
+    def terms(theta):
+        mu, sg = theta
+        c = -log(sg) - _HALF_LOG_TWO_PI
+        us, lfs = [], []
+        for x in xs:
+            z = (x - mu) / sg
+            us.append(0.5 * erfc(-z / _SQRT2))
+            lfs.append(c - 0.5 * z * z)
+        return us, lfs
+
+    return terms
+
+
+def _lognormal_terms(xs):
+    log, erfc, pts = math.log, math.erfc, _log_x(xs)
+
+    def terms(theta):
+        mu, sg = theta
+        lsg = log(sg)
+        us, lfs = [], []
+        for x, lx in pts:
+            if x <= 0.0:
+                us.append(0.0)
+                lfs.append(-_INF)
+                continue
+            lz = (lx - mu) / sg
+            us.append(0.5 * erfc(-lz / _SQRT2))
+            lfs.append(-lx - lsg - _HALF_LOG_TWO_PI - 0.5 * lz * lz)
+        return us, lfs
+
+    return terms
+
+
+def _weibull_terms(xs):
+    log, exp, expm1 = math.log, math.exp, math.expm1
+
+    def terms(theta):
+        k, lam = theta
+        llam = log(lam)
+        c, km1 = log(k) - llam, k - 1.0
+        us, lfs = [], []
+        for x in xs:
+            r = x / lam
+            if r <= 0.0:    # x <= 0, or a subnormal x / lam underflowed to 0
+                us.append(0.0)
+                lfs.append(-_INF if x < 0.0 else _edge_log_pdf(k, llam))
+                continue
+            lz = log(r)
+            lt = k * lz
+            t = exp(lt) if lt < _LOG_EXP_OVERFLOW else _INF
+            us.append(-expm1(-t))
+            lfs.append(c + km1 * lz - t)
+        return us, lfs
+
+    return terms
+
+
+def _gamma_terms(xs):
+    log, lgamma, pts = math.log, math.lgamma, _log_x(xs)
+
+    def terms(theta):
+        a, s = theta
+        ls, lga = log(s), lgamma(a)
+        am1, als = a - 1.0, a * ls
+        us, lfs = [], []
+        for x, lx in pts:
+            if x <= 0.0:
+                us.append(0.0)
+                lfs.append(-_INF if x < 0.0 else _edge_log_pdf(a, ls))
+                continue
+            r = x / s
+            us.append(_incomplete_gamma(a, r, False, lga))
+            lfs.append(am1 * lx - r - lga - als)
+        return us, lfs
+
+    return terms
+
+
+def _inv_gamma_terms(xs):
+    log, lgamma, pts = math.log, math.lgamma, _log_x(xs)
+
+    def terms(theta):
+        a, b = theta
+        lga = lgamma(a)
+        c, ap1 = a * log(b) - lga, a + 1.0
+        us, lfs = [], []
+        for x, lx in pts:
+            if x <= 0.0:
+                us.append(0.0)
+                lfs.append(-_INF)
+                continue
+            y = b / x
+            us.append(_incomplete_gamma(a, y, True, lga))
+            lfs.append(c - ap1 * lx - y)
+        return us, lfs
+
+    return terms
+
+
+def _frechet_terms(xs):
+    log, exp = math.log, math.exp
+
+    def terms(theta):
+        a, s = theta
+        c, na, ap1 = log(a) - log(s), -a, 1.0 + a
+        us, lfs = [], []
+        for x in xs:
+            r = x / s
+            if r <= 0.0:    # x <= 0, or a subnormal x / s underflowed to 0
+                us.append(0.0)
+                lfs.append(-_INF)
+                continue
+            lz = log(r)
+            lt = na * lz
+            t = exp(lt) if lt < _LOG_EXP_OVERFLOW else _INF
+            us.append(exp(-t))
+            lfs.append(c - ap1 * lz - t)
+        return us, lfs
+
+    return terms
+
+
+def _chi_square_terms(xs):
+    log, lgamma = math.log, math.lgamma
+    pts = tuple((x, lx, 0.5 * x) for x, lx in _log_x(xs))
+    log2 = log(2.0)
+
+    def terms(theta):
+        (nu,) = theta
+        h = 0.5 * nu
+        lgh = lgamma(h)
+        hm1, hl2 = h - 1.0, h * log2
+        us, lfs = [], []
+        for x, lx, hx in pts:
+            if x <= 0.0:
+                us.append(0.0)
+                lfs.append(-_INF if x < 0.0 else _edge_log_pdf(h, log2))
+                continue
+            us.append(_incomplete_gamma(h, hx, False, lgh))
+            lfs.append(hm1 * lx - hx - lgh - hl2)
+        return us, lfs
+
+    return terms
+
+
+def _exponential_terms(xs):
+    log, expm1 = math.log, math.expm1
+
+    def terms(theta):
+        (rate,) = theta
+        lr = log(rate)
+        us, lfs = [], []
+        for x in xs:
+            rx = rate * x
+            us.append(-expm1(-rx) if x > 0.0 else 0.0)
+            lfs.append(lr - rx if x >= 0.0 else -_INF)
+        return us, lfs
+
+    return terms
+
+
+def _cauchy_terms(xs):
+    log, log1p, atan2 = math.log, math.log1p, math.atan2
+
+    def terms(theta):
+        loc, sc = theta
+        c = -log(math.pi * sc)
+        us, lfs = [], []
+        for x in xs:
+            z = (x - loc) / sc
+            us.append(atan2(1.0, -z) / math.pi)
+            lfs.append(c - log1p(z * z))
+        return us, lfs
+
+    return terms
 
 
 # --- array kernels: theta holds one value or array per parameter, each
@@ -410,26 +608,11 @@ def _cauchy_ppf(theta, p):
     return loc + sc * np.where(p == 0.5, 0.0, z)
 
 
-# per family: the scalar log-density and CDF, the array CDF and inverse CDF
-_KERNELS = {
-    "normal": (_normal_log_pdf, _normal_cdf, _normal_cdf_array, _normal_ppf),
-    "lognormal": (_lognormal_log_pdf, _lognormal_cdf, _lognormal_cdf_array,
-                  _lognormal_ppf),
-    "weibull": (_weibull_log_pdf, _weibull_cdf, _weibull_cdf_array,
-                _weibull_ppf),
-    "gamma": (_gamma_log_pdf, _gamma_cdf, _gamma_cdf_array, _gamma_ppf),
-    "inv_gamma": (_inv_gamma_log_pdf, _inv_gamma_cdf, _inv_gamma_cdf_array,
-                  _inv_gamma_ppf),
-    "frechet": (_frechet_log_pdf, _frechet_cdf, _frechet_cdf_array,
-                _frechet_ppf),
-    "chi_square": (_chi_square_log_pdf, _chi_square_cdf,
-                   _chi_square_cdf_array, _chi_square_ppf),
-    "exponential": (_exponential_log_pdf, _exponential_cdf,
-                    _exponential_cdf_array, _exponential_ppf),
-    "cauchy": (_cauchy_log_pdf, _cauchy_cdf, _cauchy_cdf_array, _cauchy_ppf),
-}
-_LOG_PDF, _CDF, _CDF_ARRAY, _PPF = (
-    {name: kernels[i] for name, kernels in _KERNELS.items()} for i in range(4))
+# per family, found by name (_<family>_<kind>): the scalar log-density and
+# CDF, the array CDF and inverse CDF, and the fused likelihood kernel
+_LOG_PDF, _CDF, _CDF_ARRAY, _PPF, _TERMS = (
+    {name: globals()[f"_{name}_{kind}"] for name in FAMILY_NAMES}
+    for kind in ("log_pdf", "cdf", "cdf_array", "ppf", "terms"))
 
 
 def _run(kernel, theta, v) -> np.ndarray:

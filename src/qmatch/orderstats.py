@@ -17,7 +17,10 @@ CDF-regression baseline, which treats the quantile levels as Gaussian
 observations of F_theta(x).  It computes what does not depend on theta
 once and returns a closure over plain floats; the sampler, ``map_estimate``
 and the public ``joint_os_loglik``/``gaussian_noise_loglik`` on a ``Dist``
-all evaluate that closure.  ``penalty_curves`` renders both as normalized
+all evaluate that closure.  The order-statistics closure gets every
+F_theta(x_m) and log f_theta(x_m) from one call of the family's fused
+kernel (``distributions._TERMS``); the Gaussian-noise closure calls the
+scalar CDF kernel per point.  ``penalty_curves`` renders both as normalized
 one-point likelihood curves for comparing their tail behavior.
 
 Numerical conventions
@@ -46,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import _CDF, _LOG_PDF, Dist, FamilySpec
+from .distributions import _CDF, _TERMS, Dist, FamilySpec
 from .special import log_beta, log_gamma
 
 __all__ = [
@@ -257,21 +260,23 @@ def compile_loglik(family: FamilySpec, obs: QuantileObservation,
     log f(x_m)`` with the CDF clamp described in the module docstring;
     tied CDF values give -inf and increment ``tie_events``.
     "gaussian_noise" is sum_m log N(q_m | F_theta(x_m), sigma_noise^2).
-    What does not depend on theta (the family's scalar kernels, the
-    normalising constant, the exponents, the Gaussian-noise constants) is
-    computed here, once; per call the closure builds no ``Dist`` and does
-    no numpy work.
+    What does not depend on theta (the family's fused kernel over obs.x
+    or its scalar CDF, the normalising constant, the exponents, the
+    Gaussian-noise constants) is computed here, once.  Per call the
+    order-statistics closure makes one fused-kernel call for all the CDF
+    and log-density values, the log-densities before the tie check but
+    summed after the CDF terms, as the scalar kernels were; it builds no
+    ``Dist`` and does no numpy work.
     """
     if kind not in LIKELIHOOD_KINDS:
         raise ValueError(f"likelihood kind must be one of {LIKELIHOOD_KINDS}, "
                          f"got {kind!r}")
-    cdf = _CDF[family.name]
-    log_pdf = _LOG_PDF[family.name]
     xs = obs.x
 
     if kind == "gaussian_noise":
         const = -_HALF_LOG_TWO_PI - math.log(sigma_noise)
         inv_two_var = 0.5 / (sigma_noise * sigma_noise)
+        cdf = _CDF[family.name]
         pairs = tuple(zip(obs.q, xs))
 
         def gaussian_noise(theta) -> float:
@@ -283,6 +288,7 @@ def compile_loglik(family: FamilySpec, obs: QuantileObservation,
 
         return gaussian_noise
 
+    terms = _TERMS[family.name](xs)
     n, q = obs.n_total, obs.q
     norm = _cached_norm_const(n, q)
     low = q[0] * n - 1.0                        # k_1 - 1
@@ -292,7 +298,8 @@ def compile_loglik(family: FamilySpec, obs: QuantileObservation,
 
     def order_statistics(theta) -> float:
         global tie_events
-        u = [min(max(cdf(theta, v), lo), hi) for v in xs]
+        cdfs, log_fs = terms(theta)
+        u = [min(max(v, lo), hi) for v in cdfs]
         for a, b in zip(u, u[1:]):
             if b <= a:
                 tie_events += 1
@@ -305,8 +312,8 @@ def compile_loglik(family: FamilySpec, obs: QuantileObservation,
         for e, a, b in zip(spacing, u, u[1:]):
             if e != 0.0:
                 total += e * log(b - a)
-        for v in xs:
-            total += log_pdf(theta, v)
+        for v in log_fs:
+            total += v
         return total
 
     return order_statistics

@@ -11,8 +11,11 @@ parameter draws or uniforms at once.
 * ``gamma_p`` / ``gamma_q`` -- regularized incomplete gamma via the power
   series for x < a + 1 and the Lentz-evaluated continued fraction otherwise
   (Abramowitz & Stegun 6.5.29 / 6.5.31), so both tails keep full relative
-  accuracy.  ``gamma_pq`` runs the same two iterations on arrays, advancing
-  only the elements that have not yet converged.
+  accuracy.  Both check their arguments and call one unchecked
+  dispatcher, which the fused likelihood kernels call directly with ln
+  Gamma(a) taken once per parameter vector.  ``gamma_pq`` runs the same
+  two iterations on arrays, advancing only the elements that have not yet
+  converged.
 * ``std_normal_ppf`` -- the standard normal inverse CDF on arrays by
   Wichura's algorithm AS241 (PPND16, Applied Statistics 37(3), 1988),
   relative accuracy about 1e-16 down to p = 1e-300.
@@ -65,9 +68,10 @@ def log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def _p_series(a: float, x: float) -> float:
+def _p_series(a: float, x: float, lga) -> float:
     # P(a,x) = x^a e^{-x} / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n)).
-    # All terms positive; converges quickly for x < a + 1.
+    # All terms positive; converges quickly for x < a + 1.  lga is
+    # ln Gamma(a), or None to take it once the series has converged.
     term = 1.0 / a
     total = term
     denom = a
@@ -76,17 +80,19 @@ def _p_series(a: float, x: float) -> float:
         term *= x / denom
         total += term
         if term < total * _REL_EPS:
-            scale = a * math.log(x) - x - math.lgamma(a)
+            if lga is None:
+                lga = math.lgamma(a)
+            scale = a * math.log(x) - x - lga
             if scale < _LOG_UNDERFLOW:
                 return 0.0
             return total * math.exp(scale)
     raise ArithmeticError(f"incomplete gamma series failed to converge: a={a}, x={x}")
 
 
-def _q_continued_fraction(a: float, x: float) -> float:
+def _q_continued_fraction(a: float, x: float, lga: float) -> float:
     # Q(a,x) = x^a e^{-x} / Gamma(a) * CF, with the even contraction of the
     # continued fraction evaluated by the modified Lentz algorithm.
-    scale = a * math.log(x) - x - math.lgamma(a)
+    scale = a * math.log(x) - x - lga
     if scale < _LOG_UNDERFLOW:
         return 0.0
     b = x + 1.0 - a
@@ -110,38 +116,43 @@ def _q_continued_fraction(a: float, x: float) -> float:
     raise ArithmeticError(f"incomplete gamma fraction failed to converge: a={a}, x={x}")
 
 
+def _incomplete_gamma(a: float, x: float, upper: bool, lga=None) -> float:
+    # P(a, x), or Q(a, x) when `upper`, for a > 0 and x >= 0, unchecked:
+    # the series below a + 1 and the fraction above, each giving its own
+    # tail directly and the other as one minus it.  lga is ln Gamma(a), or
+    # None to take it where the series or the fraction first needs it.
+    if x == 0.0:
+        return 1.0 if upper else 0.0
+    if math.isinf(x):
+        return 0.0 if upper else 1.0
+    if x < a + 1.0:
+        v = _p_series(a, x, lga)
+        return 1.0 - v if upper else v
+    v = _q_continued_fraction(a, x, math.lgamma(a) if lga is None else lga)
+    return v if upper else 1.0 - v
+
+
+def _check_incomplete_gamma(name: str, a: float, x: float) -> None:
+    if not a > 0.0:
+        raise ValueError(f"{name} requires a > 0, got {a!r}")
+    if not x >= 0.0:
+        raise ValueError(f"{name} requires x >= 0, got {x!r}")
+
+
 def gamma_p(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
 
     Requires a > 0 and x >= 0.  Series branch for x < a + 1, continued
     fraction otherwise, so both tails keep full relative accuracy.
     """
-    if not a > 0.0:
-        raise ValueError(f"gamma_p requires a > 0, got {a!r}")
-    if not x >= 0.0:
-        raise ValueError(f"gamma_p requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    if x < a + 1.0:
-        return _p_series(a, x)
-    return 1.0 - _q_continued_fraction(a, x)
+    _check_incomplete_gamma("gamma_p", a, x)
+    return _incomplete_gamma(a, x, False)
 
 
 def gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if not a > 0.0:
-        raise ValueError(f"gamma_q requires a > 0, got {a!r}")
-    if not x >= 0.0:
-        raise ValueError(f"gamma_q requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    if x < a + 1.0:
-        return 1.0 - _p_series(a, x)
-    return _q_continued_fraction(a, x)
+    _check_incomplete_gamma("gamma_q", a, x)
+    return _incomplete_gamma(a, x, True)
 
 
 def _log_prefactor(a, x, lga):

@@ -643,12 +643,75 @@ class TestCompare:
                                                 el_compare_reference, cores,
                                                 capsys, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
         out = tmp_path / "all.json"
         code, _, _ = run_cli(
             ["compare", el_csv, "--families", "all", "--seed", "5",
              "--out", str(out)] + TINY, capsys)
         assert code in (0, 2)
         assert out.read_text() == el_compare_reference
+
+    @pytest.mark.parametrize("affinity, cpus, workers", [
+        ({0}, 2, 1),        # pinned to one of two CPUs
+        ({0, 1, 2}, 8, 3),
+        (None, 2, 2),       # no affinity API: every CPU counts
+    ])
+    def test_pool_is_sized_by_usable_cpus(self, tmp_path, el_csv, affinity,
+                                          cpus, workers, capsys,
+                                          monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: affinity, raising=False)
+        code, _, _ = run_cli(
+            ["compare", el_csv, "--families", "gamma,normal,lognormal,weibull",
+             "--seed", "3", "--no-draws", "--out",
+             str(tmp_path / "rank.json"), "--chains", "1", "--warmup", "50",
+             "--samples", "20"], capsys)
+        assert code in (0, 2)
+        assert sizes == [workers]
+
+    @pytest.mark.parametrize("dataset, families, flags, failed", [
+        ("el", "all", [], []),
+        ("el", "gamma,lognormal,cauchy", ["--no-draws"], []),
+        # gamma cannot fit x <= 0, so the failures list is not empty
+        ("straddle", "gamma,normal", [], ["gamma"]),
+    ])
+    def test_spliced_ranking_is_the_single_writers_bytes(
+            self, tmp_path, el_csv, dataset, families, flags, failed,
+            capsys):
+        data = el_csv
+        if dataset == "straddle":
+            data = tmp_path / "straddle.csv"
+            data.write_text("# meta: N=100\nq,x\n0.25,-0.5\n0.5,0.1\n"
+                            "0.75,0.8\n")
+        out = tmp_path / "rank.json"
+        code, _, _ = run_cli(["compare", str(data), "--families", families,
+                              "--seed", "6", "--out", str(out)]
+                             + flags + TINY, capsys)
+        assert code in (0, 2)
+        text = out.read_text()
+        reports, failures, _ = ranking_from_json(text)
+        assert [f for f, _ in failures] == failed
+        assert len(reports) + len(failures) == (
+            9 if families == "all" else len(families.split(",")))
+        assert all((r.draws is None) == bool(flags) for r in reports)
+        assert ranking_to_json(reports, failures) == text
+        assert json.dumps(json.loads(text)) + "\n" == text
 
     def test_no_worker_outlives_compare(self, tmp_path, el_csv, capsys):
         neg = tmp_path / "neg.csv"

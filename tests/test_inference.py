@@ -13,7 +13,8 @@ import pytest
 import qmatch.inference as inference
 import qmatch.orderstats as orderstats
 from qmatch.datasets import load_salaries
-from qmatch.distributions import FAMILY_NAMES, Dist, dist, get_family
+from qmatch.distributions import (_CDF, _LOG_PDF, _TERMS, FAMILY_NAMES, Dist,
+                                  dist, get_family)
 from qmatch.inference import (
     LIKELIHOOD_KINDS,
     Diagnostics,
@@ -282,6 +283,39 @@ class TestCompiledDensity:
         assert finite >= 30
         if kind == "order_statistics":
             assert ties >= 1
+
+    def test_every_family_has_fused_terms(self):
+        assert set(_TERMS) == set(FAMILY_NAMES)
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_fused_terms_equal_the_scalar_kernels_bit_for_bit(self, name):
+        # every value the scalar CDF and log-density give, over parameters
+        # up to the sampler's exp(700) cap and x at the support edges
+        spec = get_family(name)
+        values = (5e-324, 1e-300, 1e-10, 0.3, 1.0, 3.7, 1e3, 1e16, 1e304)
+        rng = np.random.default_rng(31)
+        thetas = [theta for theta in itertools.product(
+            *[values if p.domain == "positive" else (-1e3, -0.5, 0.0, 2.0)
+              for p in spec.params])]
+        thetas += [tuple(np.exp(rng.standard_normal(spec.arity) * 4.0))
+                   for _ in range(200)]
+        for xs in ((-1.0, -5e-324, 0.0, 5e-324, 0.657, 1.0, 1.4667, 40.0),
+                   (1e-3, 0.999e16, 1e16, 2e16)):
+            terms = _TERMS[name](xs)
+            for theta in thetas:
+                theta = [float(v) for v in theta]
+                try:
+                    want = ([_CDF[name](theta, x).hex() for x in xs],
+                            [_LOG_PDF[name](theta, x).hex() for x in xs])
+                except (ArithmeticError, ValueError) as exc:
+                    # the incomplete gamma fails at large a, x near a, and
+                    # rejects the shape 0 that chi_square's df 5e-324 halves to
+                    with pytest.raises(type(exc)):
+                        terms(theta)
+                    continue
+                cdfs, log_fs = terms(theta)
+                assert ([v.hex() for v in cdfs],
+                        [v.hex() for v in log_fs]) == want, theta
 
     def test_rejections_return_minus_inf(self):
         # the three rejections the grid above reaches, on one model: a

@@ -30,7 +30,8 @@ from qmatch.orderstats import (
 )
 import qmatch.orderstats as orderstats
 
-from helpers import adaptive_simpson, gauss_legendre, nested_gl_mass
+from helpers import (adaptive_simpson, gauss_legendre, nested_gl_mass,
+                     reference_joint_os_loglik)
 
 
 def el_observation() -> QuantileObservation:
@@ -293,7 +294,61 @@ class TestJointUniformOsLogpdf:
         assert val == ref
 
 
+# (family, theta, x) where the fused likelihood kernels take a branch:
+# support edges, overflow limits, tied CDFs and incomplete-gamma failures
+FUSED_EDGE_CASES = [
+    # x = 0 with the shape below, at and above 1: the density's limit
+    *[(name, (shape, 1.5), (0.0, 0.5, 2.0))
+      for name in ("gamma", "weibull") for shape in (0.5, 1.0, 2.5)],
+    *[("chi_square", (df,), (0.0, 0.5, 2.0)) for df in (1.0, 2.0, 5.0)],
+    # x <= 0 as the first point, under each positive-support family
+    *[(name, theta, (x0, 0.5, 2.0)) for x0 in (-1.0, 0.0)
+      for name, theta in (
+        ("lognormal", (0.0, 1.0)), ("weibull", (1.5, 1.0)),
+        ("gamma", (2.0, 1.0)), ("inv_gamma", (2.0, 1.0)),
+        ("frechet", (1.5, 1.0)), ("chi_square", (3.0,)),
+        ("exponential", (1.0,)))],
+    # x / scale is subnormal and underflows to 0 (or to -0.0 below 0)
+    *[(name, (shape, 2.0), (x0, 0.5, 2.0)) for x0 in (5e-324, -5e-324)
+      for name in ("weibull", "frechet") for shape in (0.5, 1.0, 2.0)],
+    # k log r >= 709: t = exp(k log r) overflows to inf
+    ("weibull", (300.0, 1.0), (0.5, 1.0, 20.0)),
+    ("frechet", (300.0, 1.0), (0.05, 1.0, 2.0)),
+    # every CDF in one tail, tied after the clamp
+    *[(name, theta, (10.0, 11.0, 12.0)) for name, theta in (
+        ("normal", (0.0, 1e-12)), ("lognormal", (0.0, 1e-3)),
+        ("weibull", (2.0, 0.01)), ("gamma", (2.0, 1e-3)),
+        ("inv_gamma", (2.0, 1e5)), ("frechet", (50.0, 1e-3)),
+        ("chi_square", (1e6,)), ("exponential", (100.0,)),
+        ("cauchy", (0.0, 1e-30)))],
+    # the incomplete gamma raises at large a with x near a
+    ("gamma", (1e15, 1.0), (0.9995e15, 1e15, 1.0005e15)),
+    ("gamma", (1e16, 1.0), (1.0, 1e16, 2e16)),
+    ("inv_gamma", (1e16, 1e16), (0.9995, 1.0, 1.0005)),
+    ("chi_square", (2e16,), (0.9995 * 2e16, 2e16, 1.0005 * 2e16)),
+]
+
+
+def _outcome(loglik):
+    # the value, or the type of the arithmetic error raised, and the number
+    # of tie events the call added
+    before = orderstats.tie_events
+    try:
+        value = loglik()
+    except ArithmeticError as exc:
+        value = type(exc)
+    return value, orderstats.tie_events - before
+
+
 class TestJointOsLoglik:
+    @pytest.mark.parametrize("name, theta, x", FUSED_EDGE_CASES)
+    def test_fused_terms_match_the_scalar_kernels(self, name, theta, x):
+        d = dist(name, *theta)
+        obs = QuantileObservation(q=(0.25, 0.5, 0.75), x=x, n_total=100)
+        got = _outcome(lambda: joint_os_loglik(d, obs))
+        assert got == _outcome(lambda: reference_joint_os_loglik(d, obs))
+        assert got[1] in (0, 1)     # a tie counts once per call
+
     def test_composition_with_clamped_cdf(self):
         d = dist("normal", 0.2, 1.3)
         obs = QuantileObservation(q=(0.25, 0.5, 0.75), x=(-0.7, 0.2, 1.1),
