@@ -18,7 +18,6 @@ from .inference import (
     build_model,
     diagnostics,
     map_estimate,
-    mse_fit,
     sample_posterior,
 )
 from .orderstats import (
@@ -38,7 +37,6 @@ from .predictive import (
     make_fit_report,
     predictive_cdf,
     predictive_quantile,
-    predictive_sample,
     score_model,
 )
 from .simulation import (
@@ -64,7 +62,6 @@ __all__ = [
     "build_model",
     "diagnostics",
     "map_estimate",
-    "mse_fit",
     "sample_posterior",
     "QuantileObservation",
     "gaussian_noise_loglik",
@@ -80,7 +77,6 @@ __all__ = [
     "make_fit_report",
     "predictive_cdf",
     "predictive_quantile",
-    "predictive_sample",
     "score_model",
     "SimConfig",
     "empirical_cdf_ensemble",

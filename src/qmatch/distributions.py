@@ -30,19 +30,22 @@ draws, or a whole batch of uniforms, is one call.  The inverse CDF exists
 only as an array kernel: closed forms where they exist, the AS241 normal
 inverse, and a bracketed Newton inverse of the incomplete gamma otherwise;
 either way ``|cdf(ppf(p)) - p| <= 1e-10``.  ``Dist.quantile`` and
-``Dist.sample`` go through it.  The scalar ``Dist.log_pdf`` and
-``Dist.cdf`` kernels are plain-float code; the Gaussian-noise likelihood,
-``mse_fit`` and ``penalty_curves`` call them.  The order-statistics
-likelihood calls a third kind: ``_TERMS[name](xs)`` is a fused kernel that
-returns ``theta -> (CDF values, log-density values)`` at the observed x.
-It takes log x once per fit and the parameters' logs and ln Gamma once
-per theta, and shares z, x / scale, its log and the Weibull/Frechet t
-between a point's CDF and log-density, with the scalar kernels' values
-bit for bit.  A handful of points per call is too few for numpy's
-per-call overhead to pay.  Sampling is inverse-transform from a
-``numpy.random.Generator``
-uniform stream, which keeps every family on one code path and makes draws
-reproducible from the seed alone.
+``Dist.sample`` go through it.  The fused per-point kernel
+``_TERMS[name](xs)`` is plain-float code that returns ``theta -> (CDF
+values, log-density values)`` at the points xs.  It takes log x once per
+point set and the parameters' logs and ln Gamma once per theta, and shares
+z, x / scale, its log and the Weibull/Frechet t between a point's CDF and
+log-density; a handful of points per call is too few for numpy's per-call
+overhead to pay.  It is the only per-point kernel: ``Dist.cdf`` and
+``Dist.log_pdf`` call it on their one point, both likelihoods and
+``penalty_curves`` on all of theirs.  Because ln Gamma comes before the
+first point, a gamma or inv_gamma shape above about 2.5e305, or a
+chi_square df above about 5e305 or of 5e-324 (which halves to 0), raises
+``OverflowError`` or ``ValueError`` at every x, x <= 0 included.  Such
+parameters raise at every x > 0 in any case, and the sampler's exp(700)
+cap keeps fits far below them.  Sampling is inverse-transform from a
+``numpy.random.Generator`` uniform stream, which keeps every family on one
+code path and makes draws reproducible from the seed alone.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import (_incomplete_gamma, gamma_p, gamma_pq, gamma_pq_inverse,
-                      gamma_q, std_normal_ppf)
+from .special import (_incomplete_gamma, gamma_pq, gamma_pq_inverse,
+                      std_normal_ppf)
 
 __all__ = [
     "FAMILY_NAMES",
@@ -71,10 +74,6 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_EXP_OVERFLOW = 709.0  # exp() overflows above this
 _INF = math.inf
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
-
-
-def _std_normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 def _std_normal_cdf_array(z):
@@ -149,9 +148,10 @@ def _check_x(x: float) -> float:
     return x
 
 
-# --- scalar kernels; theta is the validated constrained vector ------------
-# These serve Dist, the Gaussian-noise likelihood, mse_fit and
-# penalty_curves, one point per call.
+# --- fused per-point kernels (see the module docstring): _TERMS[name](xs)
+# precomputes what depends only on the points (log x, 0.5 x) and returns
+# theta -> (CDF values, log-density values) at xs, theta being the
+# validated constrained vector.
 
 
 def _edge_log_pdf(shape: float, log_scale: float) -> float:
@@ -159,163 +159,6 @@ def _edge_log_pdf(shape: float, log_scale: float) -> float:
     if shape > 1.0:
         return -_INF
     return -log_scale if shape == 1.0 else _INF
-
-
-def _normal_log_pdf(theta, x):
-    mu, sg = theta
-    z = (x - mu) / sg
-    return -math.log(sg) - _HALF_LOG_TWO_PI - 0.5 * z * z
-
-
-def _normal_cdf(theta, x):
-    mu, sg = theta
-    return _std_normal_cdf((x - mu) / sg)
-
-
-def _lognormal_log_pdf(theta, x):
-    mu, sg = theta
-    if x <= 0.0:
-        return -_INF
-    lz = (math.log(x) - mu) / sg
-    return -math.log(x) - math.log(sg) - _HALF_LOG_TWO_PI - 0.5 * lz * lz
-
-
-def _lognormal_cdf(theta, x):
-    mu, sg = theta
-    if x <= 0.0:
-        return 0.0
-    return _std_normal_cdf((math.log(x) - mu) / sg)
-
-
-def _weibull_log_pdf(theta, x):
-    k, lam = theta
-    if x < 0.0:
-        return -_INF
-    r = x / lam
-    if r == 0.0:
-        # limit of the density at the support edge, also taken where a
-        # subnormal x / lam underflows to 0
-        return _edge_log_pdf(k, math.log(lam))
-    lz = math.log(r)
-    lt = k * lz
-    t = math.exp(lt) if lt < _LOG_EXP_OVERFLOW else _INF
-    return math.log(k) - math.log(lam) + (k - 1.0) * lz - t
-
-
-def _weibull_cdf(theta, x):
-    k, lam = theta
-    r = x / lam
-    if r <= 0.0:    # x <= 0, or a subnormal x / lam underflowed to 0
-        return 0.0
-    lt = k * math.log(r)
-    t = math.exp(lt) if lt < _LOG_EXP_OVERFLOW else _INF
-    return -math.expm1(-t)
-
-
-def _gamma_log_pdf(theta, x):
-    a, s = theta
-    if x < 0.0:
-        return -_INF
-    if x == 0.0:
-        return _edge_log_pdf(a, math.log(s))
-    return (a - 1.0) * math.log(x) - x / s - math.lgamma(a) - a * math.log(s)
-
-
-def _gamma_cdf(theta, x):
-    a, s = theta
-    if x <= 0.0:
-        return 0.0
-    return gamma_p(a, x / s)
-
-
-def _inv_gamma_log_pdf(theta, x):
-    a, b = theta
-    if x <= 0.0:
-        return -_INF
-    return a * math.log(b) - math.lgamma(a) - (a + 1.0) * math.log(x) - b / x
-
-
-def _inv_gamma_cdf(theta, x):
-    a, b = theta
-    if x <= 0.0:
-        return 0.0
-    return gamma_q(a, b / x)
-
-
-def _frechet_log_pdf(theta, x):
-    a, s = theta
-    r = x / s
-    if r <= 0.0:    # x <= 0, or a subnormal x / s underflowed to 0
-        return -_INF
-    lz = math.log(r)
-    lt = -a * lz
-    t = math.exp(lt) if lt < _LOG_EXP_OVERFLOW else _INF
-    return math.log(a) - math.log(s) - (1.0 + a) * lz - t
-
-
-def _frechet_cdf(theta, x):
-    a, s = theta
-    r = x / s
-    if r <= 0.0:    # x <= 0, or a subnormal x / s underflowed to 0
-        return 0.0
-    lt = -a * math.log(r)
-    t = math.exp(lt) if lt < _LOG_EXP_OVERFLOW else _INF
-    return math.exp(-t)
-
-
-def _chi_square_log_pdf(theta, x):
-    (nu,) = theta
-    if x < 0.0:
-        return -_INF
-    h = 0.5 * nu
-    if x == 0.0:
-        return _edge_log_pdf(h, math.log(2.0))
-    return ((h - 1.0) * math.log(x) - 0.5 * x - math.lgamma(h)
-            - h * math.log(2.0))
-
-
-def _chi_square_cdf(theta, x):
-    (nu,) = theta
-    if x <= 0.0:
-        return 0.0
-    return gamma_p(0.5 * nu, 0.5 * x)
-
-
-def _exponential_log_pdf(theta, x):
-    (rate,) = theta
-    if x < 0.0:
-        return -_INF
-    return math.log(rate) - rate * x
-
-
-def _exponential_cdf(theta, x):
-    (rate,) = theta
-    if x <= 0.0:
-        return 0.0
-    return -math.expm1(-rate * x)
-
-
-def _cauchy_log_pdf(theta, x):
-    loc, sc = theta
-    z = (x - loc) / sc
-    return -math.log(math.pi * sc) - math.log1p(z * z)
-
-
-def _cauchy_cdf(theta, x):
-    loc, sc = theta
-    # atan2 form keeps full relative accuracy in the lower tail
-    return math.atan2(1.0, -(x - loc) / sc) / math.pi
-
-
-# --- fused likelihood kernels: _TERMS[name](xs) precomputes what depends
-# only on the observed x (log x, 0.5 x) and returns theta -> (CDF values,
-# log-density values) at xs.  Per theta it takes the parameters' logs and
-# ln Gamma once; per point the CDF and the log-density share z, r = x / s,
-# log r and t.  Every value is the scalar kernels' above, bit for bit: the
-# same operations in the same order, support branches included.  ln Gamma
-# is taken before the first point, so where it fails (shape above 2.5e305,
-# past the sampler's exp(700) cap, or chi_square's df 5e-324 halved to 0)
-# the kernel raises even when no point would have reached it.
 
 
 def _log_x(xs):
@@ -503,7 +346,7 @@ def _cauchy_terms(xs):
 
 
 # --- array kernels: theta holds one value or array per parameter, each
-# broadcast against x or p.  The CDFs follow the scalar kernels above
+# broadcast against x or p.  The CDFs follow the fused kernels' CDFs
 # operation for operation; x <= 0 is replaced by a harmless stand-in
 # before logs are taken and masked out of the result.
 
@@ -608,11 +451,11 @@ def _cauchy_ppf(theta, p):
     return loc + sc * np.where(p == 0.5, 0.0, z)
 
 
-# per family, found by name (_<family>_<kind>): the scalar log-density and
-# CDF, the array CDF and inverse CDF, and the fused likelihood kernel
-_LOG_PDF, _CDF, _CDF_ARRAY, _PPF, _TERMS = (
+# per family, found by name (_<family>_<kind>): the array CDF and inverse
+# CDF, and the fused per-point kernel
+_CDF_ARRAY, _PPF, _TERMS = (
     {name: globals()[f"_{name}_{kind}"] for name in FAMILY_NAMES}
-    for kind in ("log_pdf", "cdf", "cdf_array", "ppf", "terms"))
+    for kind in ("cdf_array", "ppf", "terms"))
 
 
 def _run(kernel, theta, v) -> np.ndarray:
@@ -680,11 +523,11 @@ class Dist:
 
     def log_pdf(self, x: float) -> float:
         """Natural log of the density; -inf outside the support."""
-        return _LOG_PDF[self.spec.name](self.theta, _check_x(x))
+        return _TERMS[self.spec.name]((_check_x(x),))(self.theta)[1][0]
 
     def cdf(self, x: float) -> float:
         """P(X <= x), exactly 0 below the support and 1 in the upper limit."""
-        return _CDF[self.spec.name](self.theta, _check_x(x))
+        return _TERMS[self.spec.name]((_check_x(x),))(self.theta)[0][0]
 
     def quantile(self, p: float) -> float:
         """Inverse CDF at p in (0,1), with |cdf(quantile(p)) - p| <= 1e-10."""

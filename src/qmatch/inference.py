@@ -1,4 +1,4 @@
-"""Posterior machinery: priors, reparameterization, MCMC, MAP, MSE fit.
+"""Posterior machinery: priors, reparameterization, MCMC, MAP.
 
 Sampling is adaptive random-walk Metropolis (Haario, Saksman & Tamminen
 2001) in an unconstrained space; positive parameters get a log bijection.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _CDF, FamilySpec, get_family
+from .distributions import FamilySpec, get_family
 from . import orderstats
 from .optimize import nelder_mead
 from .orderstats import LIKELIHOOD_KINDS, QuantileObservation, compile_loglik
@@ -51,7 +51,6 @@ __all__ = [
     "log_posterior",
     "sample_posterior",
     "map_estimate",
-    "mse_fit",
     "diagnostics",
 ]
 
@@ -477,33 +476,6 @@ def map_estimate(model: ModelSpec, restarts: int = 1,
                         100 * int(restarts), ties)
     theta, _ = to_constrained(model.family, best_eta)
     return theta, best_val
-
-
-def mse_fit(family, obs: QuantileObservation, restarts: int = 1,
-            seed: int = 0) -> np.ndarray:
-    """Least-squares CDF regression: minimize sum_m (q_m - F_theta(x_m))^2.
-
-    One Nelder-Mead run, started at the order-statistics posterior mode
-    (``map_estimate`` with `restarts` and `seed`), which sits near the
-    least-squares fit where a random start may stop in a distant local
-    minimum.  Coincides with the gaussian_noise maximum under a flat prior,
-    whatever sigma.
-    """
-    spec = get_family(family) if isinstance(family, str) else family
-    mode, _ = map_estimate(build_model(spec, obs), restarts, seed)
-    cdf = _CDF[spec.name]
-
-    def objective(eta):
-        theta = to_constrained(spec, eta)[0].tolist()
-        for v in theta:
-            if v == 0.0 or not math.isfinite(v):
-                return math.inf
-        return math.fsum((qm - cdf(theta, xm)) ** 2
-                         for qm, xm in zip(obs.q, obs.x))
-
-    eta, _ = nelder_mead(objective, to_unconstrained(spec, mode))
-    theta, _ = to_constrained(spec, eta)
-    return theta
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ once and returns a closure over plain floats; the sampler, ``map_estimate``
 and the public ``joint_os_loglik``/``gaussian_noise_loglik`` on a ``Dist``
 all evaluate that closure.  The order-statistics closure gets every
 F_theta(x_m) and log f_theta(x_m) from one call of the family's fused
-kernel (``distributions._TERMS``); the Gaussian-noise closure calls the
-scalar CDF kernel per point.  ``penalty_curves`` renders both as normalized
-one-point likelihood curves for comparing their tail behavior.
+kernel (``distributions._TERMS``); the Gaussian-noise closure makes the
+same call and reads only its CDF list.  ``penalty_curves`` renders both as
+normalized one-point likelihood curves for comparing their tail behavior,
+from one fused-kernel call over its whole grid.
 
 Numerical conventions
 ---------------------
@@ -49,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import _CDF, _TERMS, Dist, FamilySpec
+from .distributions import _TERMS, Dist, FamilySpec
 from .special import log_beta, log_gamma
 
 __all__ = [
@@ -260,36 +261,33 @@ def compile_loglik(family: FamilySpec, obs: QuantileObservation,
     log f(x_m)`` with the CDF clamp described in the module docstring;
     tied CDF values give -inf and increment ``tie_events``.
     "gaussian_noise" is sum_m log N(q_m | F_theta(x_m), sigma_noise^2).
-    What does not depend on theta (the family's fused kernel over obs.x
-    or its scalar CDF, the normalising constant, the exponents, the
-    Gaussian-noise constants) is computed here, once.  Per call the
-    order-statistics closure makes one fused-kernel call for all the CDF
-    and log-density values, the log-densities before the tie check but
-    summed after the CDF terms, as the scalar kernels were; it builds no
-    ``Dist`` and does no numpy work.
+    What does not depend on theta (the family's fused kernel over obs.x,
+    the normalising constant, the exponents, the Gaussian-noise constants)
+    is computed here, once.  Per call each closure makes one fused-kernel
+    call for all the CDF and log-density values.  The Gaussian-noise
+    closure reads only the CDF list; the order-statistics closure sums the
+    log-densities after the CDF terms.  Neither builds a ``Dist`` or does
+    numpy work.
     """
     if kind not in LIKELIHOOD_KINDS:
         raise ValueError(f"likelihood kind must be one of {LIKELIHOOD_KINDS}, "
                          f"got {kind!r}")
-    xs = obs.x
+    terms = _TERMS[family.name](obs.x)
+    n, q = obs.n_total, obs.q
 
     if kind == "gaussian_noise":
         const = -_HALF_LOG_TWO_PI - math.log(sigma_noise)
         inv_two_var = 0.5 / (sigma_noise * sigma_noise)
-        cdf = _CDF[family.name]
-        pairs = tuple(zip(obs.q, xs))
 
         def gaussian_noise(theta) -> float:
             total = 0.0
-            for qm, xm in pairs:
-                r = qm - cdf(theta, xm)
+            for qm, u in zip(q, terms(theta)[0]):
+                r = qm - u
                 total += const - r * r * inv_two_var
             return total
 
         return gaussian_noise
 
-    terms = _TERMS[family.name](xs)
-    n, q = obs.n_total, obs.q
     norm = _cached_norm_const(n, q)
     low = q[0] * n - 1.0                        # k_1 - 1
     high = n - q[-1] * n                        # N - k_M
@@ -358,15 +356,11 @@ def penalty_curves(d: Dist, q: float, n: float, x_grid,
     k = q * n
     e_lo = k - 1.0
     e_hi = n - k
-    log_os = np.empty(grid.size)
-    gn_resid = np.empty(grid.size)
-    for i, xv in enumerate(grid):
-        xv = float(xv)
-        u = min(max(d.cdf(xv), _CDF_CLAMP), _CDF_CLAMP_HI)
-        log_os[i] = (_pow_term(e_lo, u) + _pow_term(e_hi, 1.0 - u)
-                     + d.log_pdf(xv))
-        r = u - q
-        gn_resid[i] = r * r
+    cdfs, log_fs = _TERMS[d.spec.name](grid.tolist())(d.theta)
+    u = [min(max(v, _CDF_CLAMP), _CDF_CLAMP_HI) for v in cdfs]
+    log_os = np.array([_pow_term(e_lo, v) + _pow_term(e_hi, 1.0 - v) + lf
+                       for v, lf in zip(u, log_fs)])
+    gn_resid = (np.array(u) - q) ** 2
     m = log_os.max()
     os_curve = (np.exp(log_os - m) if math.isfinite(m)
                 else np.zeros(grid.size))

@@ -9,8 +9,8 @@ draws' parameter columns as theta: quantiles over all draws at once, the
 CDF over all draws and a block of grid points at a time.
 
 Scores stay in the units the model was fitted in (median-normalized for
-the salary data); only quantile and sample outputs are de-normalized, via
-the scale_divisor carried by the observation.
+the salary data); only quantile outputs are de-normalized, via the
+scale_divisor carried by the observation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "FitReport",
     "predictive_cdf",
     "predictive_quantile",
-    "predictive_sample",
     "score_model",
     "compare_models",
     "kde_curve",
@@ -165,18 +164,6 @@ def predictive_quantile(pd: PosteriorDraws, family, p: float,
         lo=lo * scale_divisor,
         hi=hi * scale_divisor,
     )
-
-
-def predictive_sample(pd: PosteriorDraws, family, rng: np.random.Generator,
-                      n_per_draw: int = 1) -> np.ndarray:
-    """n_per_draw samples from each retained draw's distribution, draw by
-    draw, by inverse transform on one block of rng's uniforms."""
-    if int(n_per_draw) < 1:
-        raise ValueError(f"n_per_draw must be >= 1, got {n_per_draw!r}")
-    # rng.random() lands in [0, 1); nudge exact zeros as Dist.sample does
-    u = np.maximum(rng.random((pd.n_draws, int(n_per_draw))), 5e-324)
-    theta = tuple(col[:, None] for col in _theta_columns(pd))
-    return ppf(family, theta, u).ravel()
 
 
 def score_model(pd: PosteriorDraws) -> Score:

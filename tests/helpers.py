@@ -172,6 +172,24 @@ def reference_gaussian_noise_loglik(d, obs, sigma_noise):
     return total
 
 
+def reference_penalty_curves(d, q, n, grid, sigma_noise):
+    """penalty_curves one grid point at a time, from ``Dist.cdf`` and
+    ``Dist.log_pdf``: (os_curve, gn_curve), each max-normalized."""
+    k = q * n
+    log_os, resid = [], []
+    for x in grid:
+        u = min(max(d.cdf(x), _CDF_CLAMP), _CDF_CLAMP_HI)
+        log_os.append(_pow_term(k - 1.0, u) + _pow_term(n - k, 1.0 - u)
+                      + d.log_pdf(x))
+        resid.append((u - q) * (u - q))
+    log_os, resid = np.array(log_os), np.array(resid)
+    m = log_os.max()
+    os_curve = (np.exp(log_os - m) if math.isfinite(m)
+                else np.zeros(log_os.size))
+    gn_curve = np.exp(-(resid - resid.min()) / (2.0 * sigma_noise ** 2))
+    return os_curve, gn_curve
+
+
 def reference_predictive_cdf(pd, family, grid):
     """predictive_cdf one grid point at a time: (mean, lo, hi) of each
     point's per-draw CDF values, by ``.mean()`` and ``np.quantile``."""

@@ -70,12 +70,15 @@ class TestPinnedValues:
         assert dist("weibull", 2, 1).log_pdf(0.0) == -math.inf
         assert dist("weibull", 1, 2).log_pdf(0.0) == math.log(0.5)
         assert dist("gamma", 0.5, 1).log_pdf(0.0) == math.inf
+        assert dist("gamma", 1, 2).log_pdf(0.0) == -math.log(2.0)
+        assert dist("chi_square", 2).log_pdf(0.0) == -math.log(2.0)
+        assert dist("chi_square", 1).log_pdf(0.0) == math.inf
 
 
 @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("name", ["weibull", "frechet"])
 def test_subnormal_x_over_scale_takes_the_support_edge_limit(name, shape):
-    # x / scale underflows to 0: the scalar kernels return the x = 0
+    # x / scale underflows to 0: the per-point kernels return the x = 0
     # limit, as the array cdf and scipy do, instead of a math domain error
     for scale, x in [(2.0, 5e-324), (1e10, 5e-324), (1e10, 1e-320)]:
         assert x / scale == 0.0
@@ -112,6 +115,28 @@ class TestValidation:
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 d.quantile(bad)
+
+    @pytest.mark.parametrize("name, theta, error", [
+        ("gamma", (1e306, 1.0), OverflowError),
+        ("inv_gamma", (1e306, 1.0), OverflowError),
+        ("chi_square", (1e306,), OverflowError),
+        ("chi_square", (5e-324,), ValueError),
+    ])
+    def test_shape_past_ln_gamma_raises_at_every_x(self, name, theta, error):
+        # the per-point kernel takes ln Gamma before its first point, so a
+        # shape past its range raises below the support too, as it does
+        # inside it; chi_square's df 5e-324 halves to a shape of 0
+        d = dist(name, *theta)
+        for x in (-1.0, 0.0, 1.0):
+            with pytest.raises(error):
+                d.cdf(x)
+            with pytest.raises(error):
+                d.log_pdf(x)
+
+    def test_largest_shape_in_ln_gamma_range_still_evaluates(self):
+        d = dist("gamma", 2.5e305, 1.0)
+        assert (d.cdf(0.0), d.log_pdf(-1.0), d.log_pdf(0.0)) == (
+            0.0, -math.inf, -math.inf)
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
@@ -171,6 +196,17 @@ def test_matches_reference_distribution(name):
         assert d.cdf(x) == pytest.approx(float(ref.cdf(x)), rel=1e-9, abs=1e-12)
         assert d.log_pdf(x) == pytest.approx(float(ref.logpdf(x)), rel=1e-9, abs=1e-9)
         assert d.quantile(p) == pytest.approx(x, rel=1e-7)
+    if d.spec.support == "real":
+        return
+    # the support edge: a CDF of 0 or a subnormal, and the log-density's
+    # limit, so both compare exactly.  At 5e-324 weibull and frechet take
+    # the x = 0 limit of an underflowed x / scale and inv_gamma's scale / x
+    # overflows; the other log-densities are rounded values there, and
+    # scipy's, taken from a subnormal x / scale, are not exact
+    for x in (-1.0, -5e-324, 0.0, 5e-324):
+        assert d.cdf(x) == float(ref.cdf(x))
+        if x <= 0.0 or name in ("weibull", "frechet", "inv_gamma"):
+            assert d.log_pdf(x) == float(ref.logpdf(x)), x
 
 
 class TestSampling:

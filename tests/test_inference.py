@@ -1,4 +1,4 @@
-"""Tests for the posterior machinery: bijection, MCMC, MAP, MSE, diagnostics.
+"""Tests for the posterior machinery: bijection, MCMC, MAP, diagnostics.
 
 Statistical assertions run on fixed seeds, so they are deterministic; the
 tolerances were sized from the analytic sampling noise of each statistic.
@@ -13,8 +13,7 @@ import pytest
 import qmatch.inference as inference
 import qmatch.orderstats as orderstats
 from qmatch.datasets import load_salaries
-from qmatch.distributions import (_CDF, _LOG_PDF, _TERMS, FAMILY_NAMES, Dist,
-                                  dist, get_family)
+from qmatch.distributions import _TERMS, FAMILY_NAMES, Dist, dist, get_family
 from qmatch.inference import (
     LIKELIHOOD_KINDS,
     Diagnostics,
@@ -26,7 +25,6 @@ from qmatch.inference import (
     diagnostics,
     log_posterior,
     map_estimate,
-    mse_fit,
     sample_posterior,
     to_constrained,
     to_unconstrained,
@@ -288,9 +286,11 @@ class TestCompiledDensity:
         assert set(_TERMS) == set(FAMILY_NAMES)
 
     @pytest.mark.parametrize("name", FAMILY_NAMES)
-    def test_fused_terms_equal_the_scalar_kernels_bit_for_bit(self, name):
-        # every value the scalar CDF and log-density give, over parameters
-        # up to the sampler's exp(700) cap and x at the support edges
+    def test_fused_terms_match_one_point_terms(self, name):
+        # a kernel over a whole xs tuple gives each point the bits of the
+        # one-point kernel that Dist.cdf and Dist.log_pdf build, over
+        # parameters up to the sampler's exp(700) cap and x at the support
+        # edges
         spec = get_family(name)
         values = (5e-324, 1e-300, 1e-10, 0.3, 1.0, 3.7, 1e3, 1e16, 1e304)
         rng = np.random.default_rng(31)
@@ -303,19 +303,23 @@ class TestCompiledDensity:
                    (1e-3, 0.999e16, 1e16, 2e16)):
             terms = _TERMS[name](xs)
             for theta in thetas:
-                theta = [float(v) for v in theta]
-                try:
-                    want = ([_CDF[name](theta, x).hex() for x in xs],
-                            [_LOG_PDF[name](theta, x).hex() for x in xs])
-                except (ArithmeticError, ValueError) as exc:
-                    # the incomplete gamma fails at large a, x near a, and
-                    # rejects the shape 0 that chi_square's df 5e-324 halves to
-                    with pytest.raises(type(exc)):
-                        terms(theta)
-                    continue
-                cdfs, log_fs = terms(theta)
-                assert ([v.hex() for v in cdfs],
-                        [v.hex() for v in log_fs]) == want, theta
+                d = Dist(spec, tuple(float(v) for v in theta))
+                want = []
+                for x in xs:
+                    try:
+                        want.append((d.cdf(x).hex(), d.log_pdf(x).hex()))
+                    except (ArithmeticError, ValueError) as exc:
+                        # the incomplete gamma fails at large a, x near a,
+                        # and ln Gamma at chi_square's df 5e-324, which
+                        # halves to 0: the whole kernel raises at the first
+                        # point that raises alone
+                        with pytest.raises(type(exc)):
+                            terms(d.theta)
+                        break
+                else:
+                    cdfs, log_fs = terms(d.theta)
+                    assert [(u.hex(), lf.hex()) for u, lf in
+                            zip(cdfs, log_fs)] == want, theta
 
     def test_rejections_return_minus_inf(self):
         # the three rejections the grid above reaches, on one model: a
@@ -665,55 +669,19 @@ class TestMapEstimate:
                 fit()
             assert "tied" not in str(info.value)
 
-
-class TestMseFit:
-    def test_zero_residual_recovery(self):
-        d_true = dist("weibull", 2.0, 1.3)
-        q = (0.1, 0.3, 0.5, 0.7, 0.9)
-        obs = QuantileObservation(q=q, x=tuple(d_true.quantile(p) for p in q),
-                                  n_total=100)
-        theta = mse_fit("weibull", obs, restarts=3)
-        np.testing.assert_allclose(theta, [2.0, 1.3], atol=1e-4)
-
-    def test_matches_gaussian_noise_map_under_flat_prior(self):
-        obs = figure3_obs(seed=31)
-        theta_mse = mse_fit("normal", obs, restarts=2)
-        flat = PriorSpec((0.0, 0.0), (1e8, 1e8))
-        theta_map, _ = map_estimate(
-            build_model("normal", obs, likelihood_kind="gaussian_noise",
-                        prior=flat), restarts=2)
-        np.testing.assert_allclose(theta_mse, theta_map, atol=1e-4)
-
     def test_cauchy_data_inflates_order_statistics_sigma(self):
-        # a normal fit to heavy-tailed data: the CDF regression stays close
-        # to the central quantiles, the full likelihood inflates sigma to
-        # reach the extreme ones
+        # a normal fit to heavy-tailed data: the CDF regression (the
+        # Gaussian-noise MAP under a flat prior) stays close to the central
+        # quantiles, the full likelihood inflates sigma to reach the
+        # extreme ones
         q = tuple(np.linspace(0.05, 0.95, 20))
         cfg = SimConfig(d=dist("cauchy", 3.0, 1.5), n_total=200, q=q, seed=2)
         obs = simulate_quantile_data(cfg)
-        sigma_mse = mse_fit("normal", obs, restarts=3)[1]
-        sigma_map = map_estimate(build_model("normal", obs), restarts=3)[0][1]
-        assert sigma_map > sigma_mse
-
-    def test_restarts_validation(self):
-        with pytest.raises(ValueError):
-            mse_fit("normal", el_obs(), restarts=0)
-
-    @pytest.mark.parametrize("seed", (26, 55, 125, 128, 129, 136, 142))
-    def test_fit_beats_the_generator(self, seed):
-        # seeds whose N(0, 1) start once stopped in a local minimum with
-        # residual 2.4-3.3, against the generator's 0.051
-        q = tuple(np.linspace(0.05, 0.95, 10))
-        obs = simulate_quantile_data(SimConfig(
-            d=dist("normal", 3.0, 1.5), n_total=50, q=q, seed=1898982336))
-
-        def residual(theta):
-            d = dist("normal", *theta)
-            return math.fsum((qm - d.cdf(xm)) ** 2
-                             for qm, xm in zip(obs.q, obs.x))
-
-        theta = mse_fit("normal", obs, seed=seed)
-        assert residual(theta) <= residual((3.0, 1.5))
+        flat = PriorSpec((0.0, 0.0), (1e8, 1e8))
+        sigma_gn = map_estimate(build_model("normal", obs, "gaussian_noise",
+                                            prior=flat), restarts=3)[0][1]
+        sigma_os = map_estimate(build_model("normal", obs), restarts=3)[0][1]
+        assert sigma_os > sigma_gn
 
 
 def synthetic_pd(gen, draws_per_chain, chains=4):

@@ -31,7 +31,7 @@ from qmatch.orderstats import (
 import qmatch.orderstats as orderstats
 
 from helpers import (adaptive_simpson, gauss_legendre, nested_gl_mass,
-                     reference_joint_os_loglik)
+                     reference_joint_os_loglik, reference_penalty_curves)
 
 
 def el_observation() -> QuantileObservation:
@@ -343,6 +343,7 @@ def _outcome(loglik):
 class TestJointOsLoglik:
     @pytest.mark.parametrize("name, theta, x", FUSED_EDGE_CASES)
     def test_fused_terms_match_the_scalar_kernels(self, name, theta, x):
+        # the closure's one call over all x against Dist's one-point calls
         d = dist(name, *theta)
         obs = QuantileObservation(q=(0.25, 0.5, 0.75), x=x, n_total=100)
         got = _outcome(lambda: joint_os_loglik(d, obs))
@@ -513,6 +514,21 @@ class TestPenaltyCurves:
         assert os_large[i] < os_small[i] / 1000.0
         # the Gaussian-noise curve ignores N entirely
         assert gn_large[i] == pytest.approx(0.9998380155926727, abs=1e-4)
+
+    @pytest.mark.parametrize("name, theta", [
+        ("normal", (0.0, 1.0)), ("gamma", (0.5, 1.5)), ("gamma", (1.0, 1.5)),
+        ("gamma", (3.0, 1.5)), ("weibull", (2.0, 1.5))])
+    def test_curves_match_one_point_formula_across_support_edge(self, name,
+                                                               theta):
+        # below, at and just above the support edge, then inside it
+        d = dist(name, *theta)
+        grid = np.array([-2.0, -5e-324, 0.0, 5e-324, 1e-3, 0.3, 1.0, 2.5, 6.0])
+        for q, n in ((0.1, 100.0), (0.5, 7.0), (0.001, 1000.0)):
+            got = penalty_curves(d, q, n, grid, 0.07)
+            want = reference_penalty_curves(d, q, n, grid.tolist(), 0.07)
+            for g, w in zip(got, want):
+                assert [v.hex() for v in g.tolist()] == [
+                    v.hex() for v in w.tolist()], (q, n)
 
     def test_sigma_default_is_half_a_decile(self):
         d = dist("normal", 0.0, 1.0)

@@ -24,7 +24,6 @@ from qmatch.predictive import (
     make_fit_report,
     predictive_cdf,
     predictive_quantile,
-    predictive_sample,
     score_model,
 )
 
@@ -247,62 +246,6 @@ class TestPredictiveQuantile:
         _, pd = el_gamma
         with pytest.raises(ValueError, match="scale_divisor"):
             predictive_quantile(pd, "gamma", 0.5, scale_divisor=divisor)
-
-
-class TestPredictiveSample:
-    def test_deterministic_given_seed(self, el_gamma):
-        _, pd = el_gamma
-        a = predictive_sample(pd, "gamma", np.random.default_rng(5), 2)
-        b = predictive_sample(pd, "gamma", np.random.default_rng(5), 2)
-        np.testing.assert_array_equal(a, b)
-
-    def test_size_is_draws_times_n(self, el_gamma):
-        _, pd = el_gamma
-        out = predictive_sample(pd, "gamma", np.random.default_rng(0), 3)
-        assert out.shape == (3 * pd.n_draws,)
-
-    def test_samples_match_predictive_cdf(self, el_gamma):
-        # ecdf of pooled samples vs the mean predictive curve on a grid
-        _, pd = el_gamma
-        samples = np.sort(
-            predictive_sample(pd, "gamma", np.random.default_rng(42), 25))
-        grid = np.linspace(samples[0], samples[-1], 401)
-        curve = predictive_cdf(pd, "gamma", grid)
-        ecdf = np.searchsorted(samples, grid, side="right") / samples.size
-        assert np.max(np.abs(ecdf - curve.mean)) < 0.02
-
-    def test_matches_per_draw_sampling(self, el_gamma):
-        # reference: one Dist.sample call per draw on the same stream
-        _, pd = el_gamma
-        part = PosteriorDraws(draws=pd.draws[:300], chain_id=pd.chain_id[:300],
-                              log_likelihood=pd.log_likelihood[:300],
-                              seed=pd.seed, warmup=pd.warmup,
-                              acceptance_rate=pd.acceptance_rate)
-        got = predictive_sample(part, "gamma", np.random.default_rng(3), 2)
-        rng = np.random.default_rng(3)
-        want = np.concatenate([dist("gamma", *row).sample(rng, 2)
-                               for row in part.draws])
-        np.testing.assert_array_equal(got, want)
-
-    def test_single_draw_sampling_is_iid(self):
-        pd = single_draw_pd((2.0, 1.3))
-        samples = predictive_sample(
-            pd, "weibull", np.random.default_rng(7), 100_000)
-        d = scipy.stats.weibull_min(2.0, scale=1.3)
-        stat = scipy.stats.kstest(samples, d.cdf).statistic
-        assert stat < 0.01
-
-    def test_empirical_quantile_matches_predictive(self, el_gamma):
-        _, pd = el_gamma
-        samples = predictive_sample(
-            pd, "gamma", np.random.default_rng(9), 25)
-        pq = predictive_quantile(pd, "gamma", 0.99)
-        assert np.quantile(samples, 0.99) == pytest.approx(pq.value, rel=0.01)
-
-    def test_rejects_nonpositive_count(self, el_gamma):
-        _, pd = el_gamma
-        with pytest.raises(ValueError, match="n_per_draw"):
-            predictive_sample(pd, "gamma", np.random.default_rng(0), 0)
 
 
 class TestScoreModel:
