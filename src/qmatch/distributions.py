@@ -73,11 +73,11 @@ _SQRT2 = math.sqrt(2.0)
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_EXP_OVERFLOW = 709.0  # exp() overflows above this
 _INF = math.inf
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _std_normal_cdf_array(z):
-    return 0.5 * np.asarray(_ERFC(-z / _SQRT2), dtype=float)
+    erfc = map(math.erfc, (-z / _SQRT2).ravel().tolist())
+    return 0.5 * np.fromiter(erfc, float, z.size).reshape(z.shape)
 
 
 @dataclass(frozen=True)

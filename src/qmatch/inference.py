@@ -220,28 +220,26 @@ def _log_density(model: ModelSpec, jacobian: bool = True):
     """
     loglik = compile_loglik(model.family, model.obs, model.likelihood_kind,
                             model.sigma_noise)
-    positive = tuple(ps.domain == "positive" for ps in model.family.params)
-    prior = tuple((m, s, math.log(s))
-                  for m, s in zip(model.prior.means, model.prior.sds))
+    params = tuple((ps.domain == "positive", m, s, math.log(s))
+                   for ps, m, s in zip(model.family.params, model.prior.means,
+                                       model.prior.sds))
     exp, isfinite, inf = math.exp, math.isfinite, math.inf
 
     def log_density(eta):
         theta = []
-        log_jac = 0.0
-        for e, pos in zip(eta, positive):
+        log_jac = total = 0.0
+        for e, (pos, m, s, log_s) in zip(eta, params):
             if pos:
-                e = min(e, _ETA_CAP)
+                e = _ETA_CAP if e > _ETA_CAP else e
                 log_jac += e
                 e = exp(e)
-            theta.append(e)
-        total = 0.0
-        for v, (m, s, log_s) in zip(theta, prior):
-            if v == 0.0 or not isfinite(v):
+            if e == 0.0 or not isfinite(e):
                 return -inf, -inf   # underflowed or overflowed parameter
-            z = (v - m) / s
+            z = (e - m) / s
             total += -0.5 * z * z - log_s - _HALF_LOG_TWO_PI
             if total == -inf:
                 return -inf, -inf
+            theta.append(e)
         ll = loglik(theta)
         if ll == -inf:
             return -inf, ll

@@ -19,20 +19,22 @@ once and returns a closure over plain floats; the sampler, ``map_estimate``
 and the public ``joint_os_loglik``/``gaussian_noise_loglik`` on a ``Dist``
 all evaluate that closure.  The order-statistics closure gets every
 F_theta(x_m) and log f_theta(x_m) from one call of the family's fused
-kernel (``distributions._TERMS``); the Gaussian-noise closure makes the
-same call and reads only its CDF list.  ``penalty_curves`` renders both as
-normalized one-point likelihood curves for comparing their tail behavior,
-from one fused-kernel call over its whole grid.
+kernel (``distributions._TERMS``), clamps and tie-checks the u_m in one
+pass, and adds the logs of the factors above in their written order.  The
+Gaussian-noise closure makes the same call and reads only its CDF list.
+``penalty_curves`` renders both as normalized one-point likelihood curves
+for comparing their tail behavior, from one fused-kernel call over its
+whole grid.
 
 Numerical conventions
 ---------------------
 * Exponents such as k_m - k_{m-1} - 1 may be negative when quantiles sit
   closer than 1/N; that keeps a valid (integrable) density while the
   exponent stays above -1, and is rejected with a clear error at <= -1.
-* F_theta(x) is clamped to [1e-300, 1 - 1e-300] before taking logs, so an
-  underflowed CDF cannot masquerade as a genuine zero-density region.
-* CDF values that tie at machine precision (catastrophically misfit
-  parameters pushing several x into one tail) yield -inf and bump the
+* F_theta(x) is clamped to [1e-300, nextafter(1, 0)], a NaN passing, before
+  logs, so an underflowed CDF cannot masquerade as a zero-density region.
+* CDF values that tie once clamped (catastrophically misfit parameters
+  pushing several x into one tail) yield -inf and add one to the
   module-level ``tie_events`` counter instead of raising, so samplers can
   simply reject the proposal.
 
@@ -297,19 +299,24 @@ def compile_loglik(family: FamilySpec, obs: QuantileObservation,
     def order_statistics(theta) -> float:
         global tie_events
         cdfs, log_fs = terms(theta)
-        u = [min(max(v, lo), hi) for v in cdfs]
-        for a, b in zip(u, u[1:]):
-            if b <= a:
+        gaps, prev = [], 0.0    # u_m - u_{m-1} from u_0 = 0: first is u_1
+        for v in cdfs:          # clamp (NaN passes), reject ties
+            v = lo if v < lo else hi if v > hi else v
+            if v <= prev:
                 tie_events += 1
                 return -_INF
+            gaps.append(v - prev)
+            prev = v
+        gaps = iter(gaps)
         total = norm
+        u_1 = next(gaps)
         if low != 0.0:          # u is clamped above 0, so the log is finite
-            total += low * log(u[0])
+            total += low * log(u_1)
         if high != 0.0:
-            total += high * log1p(-u[-1])
-        for e, a, b in zip(spacing, u, u[1:]):
+            total += high * log1p(-prev)
+        for e, g in zip(spacing, gaps):
             if e != 0.0:
-                total += e * log(b - a)
+                total += e * log(g)
         for v in log_fs:
             total += v
         return total
@@ -338,6 +345,7 @@ def penalty_curves(d: Dist, q: float, n: float, x_grid,
     max-normalized to 1: returns (os_curve, gn_curve) as numpy arrays.
 
     os: F(x)^{qN-1} (1-F(x))^{N-qN} f(x);  gn: exp(-(F(x)-q)^2 / 2 sigma^2).
+    Where f diverges, making os +inf, os is 1 there and 0 elsewhere.
     """
     q, n, sigma_noise = float(q), float(n), float(sigma_noise)
     if not 0.0 < q < 1.0:
@@ -356,13 +364,14 @@ def penalty_curves(d: Dist, q: float, n: float, x_grid,
     k = q * n
     e_lo = k - 1.0
     e_hi = n - k
+    lo, hi = _CDF_CLAMP, _CDF_CLAMP_HI
     cdfs, log_fs = _TERMS[d.spec.name](grid.tolist())(d.theta)
-    u = [min(max(v, _CDF_CLAMP), _CDF_CLAMP_HI) for v in cdfs]
+    u = [lo if v < lo else hi if v > hi else v for v in cdfs]
     log_os = np.array([_pow_term(e_lo, v) + _pow_term(e_hi, 1.0 - v) + lf
                        for v, lf in zip(u, log_fs)])
     gn_resid = (np.array(u) - q) ** 2
     m = log_os.max()
     os_curve = (np.exp(log_os - m) if math.isfinite(m)
-                else np.zeros(grid.size))
+                else np.where(log_os == _INF, 1.0, 0.0))
     gn_curve = np.exp(-(gn_resid - gn_resid.min()) / (2.0 * sigma_noise ** 2))
     return os_curve, gn_curve

@@ -48,12 +48,11 @@ _TINY = 1.0e-300
 _LOG_UNDERFLOW = -745.0
 _MAX_ITER = 10_000
 
-_LGAMMA_UFUNC = np.frompyfunc(math.lgamma, 1, 1)
-
 
 def _lgamma(a) -> np.ndarray:
-    """math.lgamma elementwise, as a float array."""
-    return np.asarray(_LGAMMA_UFUNC(a), dtype=float)
+    """math.lgamma on each element of the float array a, in its shape."""
+    lga = map(math.lgamma, a.ravel().tolist())
+    return np.fromiter(lga, float, a.size).reshape(a.shape)
 
 
 def log_gamma(z: float) -> float:
@@ -72,12 +71,19 @@ def _p_series(a: float, x: float, lga) -> float:
     # P(a,x) = x^a e^{-x} / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n)).
     # All terms positive; converges quickly for x < a + 1.  lga is
     # ln Gamma(a), or None to take it once the series has converged.
+    # Testing every 4th term keeps the bits: x < a + 1 makes the terms fall,
+    # so after one below total * 1e-17 each is below half an ulp of total.
     term = 1.0 / a
     total = term
     denom = a
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
+    for _ in range(_MAX_ITER // 4):
+        term *= x / (denom := denom + 1.0)
+        total += term
+        term *= x / (denom := denom + 1.0)
+        total += term
+        term *= x / (denom := denom + 1.0)
+        total += term
+        term *= x / (denom := denom + 1.0)
         total += term
         if term < total * _REL_EPS:
             if lga is None:

@@ -102,6 +102,28 @@ def exit_worker(*args, **kwargs):
     os._exit(3)
 
 
+def reference_p_series(a, x, lga):
+    """The incomplete gamma series P(a, x) for x < a + 1, testing
+    convergence after every term: ``special._p_series`` tests after every
+    4th and must give the same bits.  lga is ln Gamma(a) or None."""
+    term = 1.0 / a
+    total = term
+    denom = a
+    for _ in range(10_000):
+        denom += 1.0
+        term *= x / denom
+        total += term
+        if term < total * 1.0e-17:
+            if lga is None:
+                lga = math.lgamma(a)
+            scale = a * math.log(x) - x - lga
+            if scale < -745.0:
+                return 0.0
+            return total * math.exp(scale)
+    raise ArithmeticError(f"incomplete gamma series failed to converge: "
+                          f"a={a}, x={x}")
+
+
 # -- reference likelihoods ----------------------------------------------------
 # Plain evaluations on a Dist, written out independently of
 # orderstats.compile_loglik, so tests can hold the compiled closure to them
@@ -174,7 +196,8 @@ def reference_gaussian_noise_loglik(d, obs, sigma_noise):
 
 def reference_penalty_curves(d, q, n, grid, sigma_noise):
     """penalty_curves one grid point at a time, from ``Dist.cdf`` and
-    ``Dist.log_pdf``: (os_curve, gn_curve), each max-normalized."""
+    ``Dist.log_pdf``: (os_curve, gn_curve), each max-normalized; an os
+    curve that is +inf somewhere is 1 there and 0 elsewhere."""
     k = q * n
     log_os, resid = [], []
     for x in grid:
@@ -184,8 +207,10 @@ def reference_penalty_curves(d, q, n, grid, sigma_noise):
         resid.append((u - q) * (u - q))
     log_os, resid = np.array(log_os), np.array(resid)
     m = log_os.max()
-    os_curve = (np.exp(log_os - m) if math.isfinite(m)
-                else np.zeros(log_os.size))
+    if math.isfinite(m):
+        os_curve = np.exp(log_os - m)
+    else:   # +inf where the density diverges: the normalized limit
+        os_curve = np.array([1.0 if v == math.inf else 0.0 for v in log_os])
     gn_curve = np.exp(-(resid - resid.min()) / (2.0 * sigma_noise ** 2))
     return os_curve, gn_curve
 

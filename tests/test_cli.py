@@ -906,6 +906,23 @@ class TestCurves:
         np.testing.assert_allclose(data[:, 3], os_curve, rtol=1e-15)
         np.testing.assert_allclose(data[:, 4], gn_curve, rtol=1e-15)
 
+    def test_penalty_curve_of_a_density_diverging_at_zero(self, capsys):
+        # gamma shape 0.5 is infinite at x = 0: each os column is its
+        # normalized limit there, 1 at x = 0 and 0 elsewhere
+        code, out, _ = run_cli(
+            ["curves", "--mode", "penalty", "--dist", "gamma",
+             "--params", "0.5,1", "--n", "500", "--x-range", "0:5"], capsys)
+        assert code == 0
+        rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+        data = np.asarray([[float(v) for v in r] for r in rows])
+        assert data.shape == (2001, 7) and data[0, 0] == 0.0
+        for col, q in ((1, 0.1), (3, 0.01), (5, 0.001)):
+            assert data[0, col] == 1.0
+            assert not data[1:, col].any()
+            _, gn_curve = penalty_curves(dist("gamma", 0.5, 1.0), q, 500.0,
+                                         data[:, 0])
+            np.testing.assert_array_equal(data[:, col + 1], gn_curve)
+
     def test_penalty_threshold_behavior_at_f_over_ten(self, capsys):
         # probing each curve at the x where F(x) = q/10: the os curve has
         # fallen below 0.05 of its peak for q in {0.1, 0.01} but still

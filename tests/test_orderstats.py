@@ -340,7 +340,42 @@ def _outcome(loglik):
     return value, orderstats.tie_events - before
 
 
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+# CDF values fed to the closure, and whether they tie once clamped to
+# [1e-300, nextafter(1, 0)]; a NaN passes the clamp and ties with nothing
+CLAMP_CASES = [
+    ((0.0, 5e-324, 0.5), True), ((5e-324, 1e-300, 0.5), True),
+    ((0.0, 1e-300, 0.5), True), ((0.2, _BELOW_ONE, 1.0), True),
+    ((0.2, 1.0, 1.0), True), ((0.2, 0.5, 0.5), True), ((0.2, 0.6, 0.4), True),
+    ((math.nan, 0.5, 0.5), True), ((0.0, 0.5, 1.0), False),
+    ((5e-324, 0.3, _BELOW_ONE), False), ((1e-300, 0.3, 0.9), False),
+    ((math.nan, 0.5, 0.9), False), ((0.1, math.nan, 0.9), False),
+    ((0.1, 0.5, math.nan), False)]
+
+
 class TestJointOsLoglik:
+    @pytest.mark.parametrize("cdfs, tied", CLAMP_CASES)
+    def test_clamp_and_ties_match_the_composition(self, monkeypatch, cdfs,
+                                                  tied):
+        # a stand-in normal kernel that returns the given CDF values at x
+        x, log_fs = (1.0, 2.0, 3.0), (-1.0, -0.5, -2.0)
+        table = dict(zip(x, zip(cdfs, log_fs)))
+        monkeypatch.setitem(orderstats._TERMS, "normal", lambda xs: lambda t: (
+            [table[v][0] for v in xs], [table[v][1] for v in xs]))
+        d = dist("normal", 0.0, 1.0)
+        obs = QuantileObservation(q=(0.25, 0.5, 0.75), x=x, n_total=40)
+        value, ties = _outcome(lambda: joint_os_loglik(d, obs))
+        assert ties == (1 if tied else 0)
+        assert (value == -math.inf) == tied
+        want, _ = _outcome(lambda: reference_joint_os_loglik(d, obs))
+        assert value.hex() == want.hex()        # NaN's hex is "nan"
+        if any(math.isnan(v) for v in cdfs):
+            return                  # outside joint_uniform_os_logpdf's domain
+        u = [min(max(d.cdf(v), 1e-300), _BELOW_ONE) for v in x]
+        composed = joint_uniform_os_logpdf(40.0, (10.0, 20.0, 30.0), u)
+        composed += sum(d.log_pdf(v) for v in x)
+        assert value == pytest.approx(composed, rel=1e-13)
+
     @pytest.mark.parametrize("name, theta, x", FUSED_EDGE_CASES)
     def test_fused_terms_match_the_scalar_kernels(self, name, theta, x):
         # the closure's one call over all x against Dist's one-point calls
@@ -517,7 +552,8 @@ class TestPenaltyCurves:
 
     @pytest.mark.parametrize("name, theta", [
         ("normal", (0.0, 1.0)), ("gamma", (0.5, 1.5)), ("gamma", (1.0, 1.5)),
-        ("gamma", (3.0, 1.5)), ("weibull", (2.0, 1.5))])
+        ("gamma", (3.0, 1.5)), ("weibull", (2.0, 1.5)),
+        ("weibull", (0.7, 1.5)), ("chi_square", (1.0,))])
     def test_curves_match_one_point_formula_across_support_edge(self, name,
                                                                theta):
         # below, at and just above the support edge, then inside it

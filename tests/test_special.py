@@ -11,8 +11,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from helpers import reference_p_series
 from qmatch import special
-from qmatch.distributions import cdf, dist
+from qmatch.distributions import _std_normal_cdf_array, cdf, dist
 from qmatch.special import (
     gamma_p,
     gamma_pq,
@@ -165,6 +166,54 @@ class TestIncompleteGamma:
             gamma_p(0.0, 1.0)
         with pytest.raises(ValueError):
             gamma_q(1.0, -0.5)
+
+
+def test_array_lgamma_and_erfc_keep_each_libm_value_and_the_shape():
+    rng = np.random.default_rng(11)
+    for v in (np.float64(0.3), np.asarray(2.5), np.empty((0, 3)),
+              rng.uniform(0.1, 40.0, (3, 4)), rng.uniform(0.1, 40.0, (4, 3)).T):
+        for got, want in ((special._lgamma(v), math.lgamma),
+                          (_std_normal_cdf_array(v),
+                           lambda w: 0.5 * math.erfc(-w / math.sqrt(2.0)))):
+            assert got.shape == np.shape(v) and got.dtype == np.float64
+            assert [w.hex() for w in got.ravel().tolist()] == [
+                want(w).hex() for w in np.ravel(v).tolist()]
+
+
+def _series_outcome(f, a, x, lga):
+    try:
+        return f(a, x, lga).hex()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+class TestPSeries:
+    """``_p_series`` tests convergence after every 4th term and must give
+    the bits of the series that tests after every term."""
+
+    @pytest.mark.parametrize("a", np.logspace(-300.0, 6.0, 52).tolist()
+                             + [0.5, 1.0, 2.5, 7.0, 1e7])
+    def test_matches_one_term_at_a_time(self, a):
+        below = math.nextafter(a + 1.0, 0.0)   # the largest x on the branch
+        xs = [below, 0.5 * below, 1e-3 * below, 1e-300, 1e-310, 5e-324]
+        for x in xs:
+            assert x < a + 1.0
+            for lga in (None, math.lgamma(a)):
+                got = _series_outcome(special._p_series, a, x, lga)
+                assert got == _series_outcome(reference_p_series, a, x, lga)
+
+    def test_scale_underflow_returns_zero(self):
+        for a, x in ((1e3, 1e-300), (50.0, 5e-324), (1e6, 1.0)):
+            assert special._p_series(a, x, None) == 0.0
+            assert reference_p_series(a, x, None) == 0.0
+
+    def test_nonconvergence_still_raises_after_ten_thousand_terms(self):
+        for lga in (None, math.lgamma(1e15)):
+            with pytest.raises(ArithmeticError,
+                               match="series failed to converge"):
+                special._p_series(1e15, 1e15, lga)
+            assert (_series_outcome(special._p_series, 1e15, 1e15, lga)
+                    == _series_outcome(reference_p_series, 1e15, 1e15, lga))
 
 
 class TestErf:
