@@ -19,12 +19,10 @@ once and returns a closure over plain floats; the sampler, ``map_estimate``
 and the public ``joint_os_loglik``/``gaussian_noise_loglik`` on a ``Dist``
 all evaluate that closure.  The order-statistics closure gets every
 F_theta(x_m) and log f_theta(x_m) from one call of the family's fused
-kernel (``distributions._TERMS``), clamps and tie-checks the u_m in one
-pass, and adds the logs of the factors above in their written order.  The
-Gaussian-noise closure makes the same call and reads only its CDF list.
-``penalty_curves`` renders both as normalized one-point likelihood curves
-for comparing their tail behavior, from one fused-kernel call over its
-whole grid.
+kernel (``distributions._TERMS``) and clamps and tie-checks the u_m in one
+pass; the Gaussian-noise closure reads only the CDFs.  ``penalty_curves``
+renders both as normalized one-point likelihood curves for comparing their
+tail behavior, from one fused-kernel call over its whole grid.
 
 Numerical conventions
 ---------------------
@@ -293,7 +291,7 @@ def compile_loglik(family: FamilySpec, obs: QuantileObservation,
     norm = _cached_norm_const(n, q)
     low = q[0] * n - 1.0                        # k_1 - 1
     high = n - q[-1] * n                        # N - k_M
-    spacing = tuple((b - a) * n - 1.0 for a, b in zip(q, q[1:]))
+    spacing = (0.0,) + tuple((b - a) * n - 1.0 for a, b in zip(q, q[1:]))
     log, log1p, lo, hi = math.log, math.log1p, _CDF_CLAMP, _CDF_CLAMP_HI
 
     def order_statistics(theta) -> float:
@@ -307,14 +305,12 @@ def compile_loglik(family: FamilySpec, obs: QuantileObservation,
                 return -_INF
             gaps.append(v - prev)
             prev = v
-        gaps = iter(gaps)
         total = norm
-        u_1 = next(gaps)
         if low != 0.0:          # u is clamped above 0, so the log is finite
-            total += low * log(u_1)
+            total += low * log(gaps[0])
         if high != 0.0:
             total += high * log1p(-prev)
-        for e, g in zip(spacing, gaps):
+        for e, g in zip(spacing, gaps):     # the leading 0.0 skips u_1
             if e != 0.0:
                 total += e * log(g)
         for v in log_fs:
@@ -345,7 +341,8 @@ def penalty_curves(d: Dist, q: float, n: float, x_grid,
     max-normalized to 1: returns (os_curve, gn_curve) as numpy arrays.
 
     os: F(x)^{qN-1} (1-F(x))^{N-qN} f(x);  gn: exp(-(F(x)-q)^2 / 2 sigma^2).
-    Where f diverges, making os +inf, os is 1 there and 0 elsewhere.
+    Where f diverges at x = 0 and F ~ C x^s, os is its limit C^k s x^{sk-1}
+    there (k = qN): 0, C^k s, or for sk < 1 +inf, leaving 1 there, 0 elsewhere.
     """
     q, n, sigma_noise = float(q), float(n), float(sigma_noise)
     if not 0.0 < q < 1.0:
@@ -369,6 +366,12 @@ def penalty_curves(d: Dist, q: float, n: float, x_grid,
     u = [lo if v < lo else hi if v > hi else v for v in cdfs]
     log_os = np.array([_pow_term(e_lo, v) + _pow_term(e_hi, 1.0 - v) + lf
                        for v, lf in zip(u, log_fs)])
+    if log_os.max() == _INF:    # f diverges at x = 0: F ~ C x^s there, so
+        s, scale = d.theta if d.spec.arity == 2 else (d.theta[0] / 2, 2.0)
+        e = s * k - 1.0         # F^{k-1} f ~ C^k s x^e, where C scale^s is
+        log_os[log_os == _INF] = -_INF if e > 0.0 else _INF if e < 0.0 else (
+            math.log(s / scale)     # 1 (weibull) or 1 / Gamma(s + 1)
+            - (0.0 if d.spec.name == "weibull" else k * math.lgamma(s + 1.0)))
     gn_resid = (np.array(u) - q) ** 2
     m = log_os.max()
     os_curve = (np.exp(log_os - m) if math.isfinite(m)

@@ -8,9 +8,9 @@ Replicates use independent RNG streams seeded by (seed, replicate_index),
 so an ensemble is reproducible row-by-row and insensitive to evaluation
 order.  The generators sort uniform draws and push them through the
 family's array inverse CDF in one call; where only the k-th order
-statistic is needed, rows are sorted a block at a time and just that
-column goes through.  That is distribution-identical to sorting the
-mapped sample because the inverse CDF is monotone.
+statistic is needed, just that column goes through.  That is
+distribution-identical to sorting the mapped sample because the inverse
+CDF is monotone.
 """
 
 from __future__ import annotations
@@ -94,11 +94,11 @@ def simulate_quantile_data(cfg: SimConfig) -> QuantileObservation:
 
 _M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_CHUNK = 4096  # rows hashed, or sorted by the oracle, per pass: bounds memory
+_CHUNK = 4096  # rows hashed per pass; bounds the Python ints alive at once
 
 
-def _pcg64_states(seed: int, start: int, stop: int):
-    """Yield (state, inc) of PCG64(SeedSequence([seed, i])), start <= i < stop.
+def _pcg64_states(seed: int, reps: int):
+    """Yield (state, inc) of PCG64(SeedSequence([seed, i])) for i < reps.
 
     SeedSequence hashes every entropy vector with the same constants, so
     the hash runs over numpy uint32 columns, a chunk of rows at a time;
@@ -109,8 +109,8 @@ def _pcg64_states(seed: int, start: int, stop: int):
     if seed < 0:
         raise ValueError("expected non-negative integer")
     words = [seed >> b & _M32 for b in range(0, seed.bit_length() or 1, 32)]
-    for lo in range(start, stop, _CHUNK):
-        i = np.arange(lo, min(lo + _CHUNK, stop), dtype=np.uint32)
+    for start in range(0, reps, _CHUNK):
+        i = np.arange(start, min(start + _CHUNK, reps), dtype=np.uint32)
         ent = [np.full(i.size, w, np.uint32) for w in words] + [i]
         h = [0x43B0D7E5, 0x931E8875]
 
@@ -141,15 +141,16 @@ def _pcg64_states(seed: int, start: int, stop: int):
             yield ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _M128, inc
 
 
-def _uniform_rows(seed: int, reps: int, n: int, start: int = 0) -> np.ndarray:
-    """Row i is np.random.default_rng([seed, start + i]).random(n), clipped
-    at _TINY_U; one generator is re-seeded per row instead of built."""
+def _uniform_rows(seed: int, reps: int, n: int) -> np.ndarray:
+    """Row i is np.random.default_rng([seed, i]).random(n), clipped at
+    _TINY_U; one generator is re-seeded per row instead of built."""
     out = np.empty((reps, n))
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
-    for row, (s, inc) in zip(out, _pcg64_states(seed, start, start + reps)):
+    for row, (state, inc) in zip(out, _pcg64_states(seed, reps)):
         bit_gen.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                         "uinteger": 0, "state": {"state": s, "inc": inc}}
+                         "uinteger": 0,
+                         "state": {"state": state, "inc": inc}}
         gen.random(out=row)
     return np.clip(out, _TINY_U, None, out=out)
 
@@ -183,9 +184,6 @@ def os_marginal_oracle(d: Dist, n_total: int, k: int, reps: int,
     k = int(k_f)
     if int(reps) < 1:
         raise ValueError(f"reps must be >= 1, got {reps!r}")
-    picks = np.empty(int(reps))
-    for i in range(0, picks.size, _CHUNK):
-        u = _uniform_rows(seed, min(_CHUNK, picks.size - i), n_total, i)
-        u.sort(axis=1)
-        picks[i:i + _CHUNK] = u[:, k - 1]
-    return ppf(d.spec, d.theta, picks)
+    u = _uniform_rows(seed, int(reps), n_total)
+    u.sort(axis=1)
+    return ppf(d.spec, d.theta, u[:, k - 1])

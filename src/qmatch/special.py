@@ -69,10 +69,9 @@ def log_beta(a: float, b: float) -> float:
 
 def _p_series(a: float, x: float, lga) -> float:
     # P(a,x) = x^a e^{-x} / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n)).
-    # All terms positive; converges quickly for x < a + 1.  lga is
-    # ln Gamma(a), or None to take it once the series has converged.
-    # Testing every 4th term keeps the bits: x < a + 1 makes the terms fall,
-    # so after one below total * 1e-17 each is below half an ulp of total.
+    # All terms positive, falling for x < a + 1, so testing every 4th keeps
+    # the bits: after one below total * 1e-17 each is below half an ulp of
+    # total.  lga is ln Gamma(a), or None to take it once converged.
     term = 1.0 / a
     total = term
     denom = a

@@ -194,22 +194,37 @@ def reference_gaussian_noise_loglik(d, obs, sigma_noise):
     return total
 
 
+# theta -> (s, C) with F(x) ~ C x^s as x -> 0, for the families whose
+# density can diverge there
+_EDGE = {"weibull": lambda k, lam: (k, lam ** -k),
+         "gamma": lambda a, sc: (a, sc ** -a / math.gamma(a + 1.0)),
+         "chi_square": lambda nu: (nu / 2.0, 2.0 ** (-nu / 2.0)
+                                   / math.gamma(nu / 2.0 + 1.0))}
+
+
 def reference_penalty_curves(d, q, n, grid, sigma_noise):
     """penalty_curves one grid point at a time, from ``Dist.cdf`` and
-    ``Dist.log_pdf``: (os_curve, gn_curve), each max-normalized; an os
+    ``Dist.log_pdf``: (os_curve, gn_curve), each max-normalized.  Where the
+    density is +inf (x = 0), the os term is its limit C^k s x^{sk-1}; an os
     curve that is +inf somewhere is 1 there and 0 elsewhere."""
     k = q * n
     log_os, resid = [], []
     for x in grid:
         u = min(max(d.cdf(x), _CDF_CLAMP), _CDF_CLAMP_HI)
-        log_os.append(_pow_term(k - 1.0, u) + _pow_term(n - k, 1.0 - u)
-                      + d.log_pdf(x))
+        lf = d.log_pdf(x)
+        if lf == math.inf:
+            s, c = _EDGE[d.spec.name](*d.theta)
+            log_os.append(math.log(c ** k * s) if s * k == 1.0
+                          else math.inf if s * k < 1.0 else -math.inf)
+        else:
+            log_os.append(_pow_term(k - 1.0, u) + _pow_term(n - k, 1.0 - u)
+                          + lf)
         resid.append((u - q) * (u - q))
     log_os, resid = np.array(log_os), np.array(resid)
     m = log_os.max()
     if math.isfinite(m):
         os_curve = np.exp(log_os - m)
-    else:   # +inf where the density diverges: the normalized limit
+    else:   # +inf where os diverges (or -inf everywhere)
         os_curve = np.array([1.0 if v == math.inf else 0.0 for v in log_os])
     gn_curve = np.exp(-(resid - resid.min()) / (2.0 * sigma_noise ** 2))
     return os_curve, gn_curve

@@ -907,21 +907,33 @@ class TestCurves:
         np.testing.assert_allclose(data[:, 4], gn_curve, rtol=1e-15)
 
     def test_penalty_curve_of_a_density_diverging_at_zero(self, capsys):
-        # gamma shape 0.5 is infinite at x = 0: each os column is its
-        # normalized limit there, 1 at x = 0 and 0 elsewhere
+        # gamma shape 0.5 has F ~ C x^0.5 at x = 0, so F^{k-1} f ~ x^{k/2-1}
+        # there: 0 for k = qN = 50 and 5; +inf for k = 0.5, leaving 1 at
+        # x = 0 and 0 elsewhere
         code, out, _ = run_cli(
             ["curves", "--mode", "penalty", "--dist", "gamma",
              "--params", "0.5,1", "--n", "500", "--x-range", "0:5"], capsys)
         assert code == 0
         rows = [r.split(",") for r in out.strip().splitlines()[1:]]
         data = np.asarray([[float(v) for v in r] for r in rows])
-        assert data.shape == (2001, 7) and data[0, 0] == 0.0
-        for col, q in ((1, 0.1), (3, 0.01), (5, 0.001)):
-            assert data[0, col] == 1.0
-            assert not data[1:, col].any()
-            _, gn_curve = penalty_curves(dist("gamma", 0.5, 1.0), q, 500.0,
-                                         data[:, 0])
-            np.testing.assert_array_equal(data[:, col + 1], gn_curve)
+        x = data[:, 0]
+        assert data.shape == (2001, 7) and x[0] == 0.0
+        d = dist("gamma", 0.5, 1.0)
+        for col, q in ((1, 0.1), (3, 0.01)):
+            k = q * 500.0
+            log_os = np.array([(k - 1.0) * math.log(d.cdf(v))
+                               + (500.0 - k) * math.log1p(-d.cdf(v))
+                               + d.log_pdf(v) for v in x[1:]])
+            assert data[0, col] == 0.0
+            np.testing.assert_allclose(data[1:, col],
+                                       np.exp(log_os - log_os.max()),
+                                       rtol=1e-9, atol=1e-300)
+        # q = 0.1 peaks next to F^-1(0.1) = 0.0079, not at the edge
+        assert x[data[:, 1].argmax()] == 0.0075
+        assert data[0, 5] == 1.0 and not data[1:, 5].any()
+        for col, q in ((2, 0.1), (4, 0.01), (6, 0.001)):
+            _, gn_curve = penalty_curves(d, q, 500.0, x)
+            np.testing.assert_array_equal(data[:, col], gn_curve)
 
     def test_penalty_threshold_behavior_at_f_over_ten(self, capsys):
         # probing each curve at the x where F(x) = q/10: the os curve has

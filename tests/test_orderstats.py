@@ -566,6 +566,18 @@ class TestPenaltyCurves:
                 assert [v.hex() for v in g.tolist()] == [
                     v.hex() for v in w.tolist()], (q, n)
 
+    @pytest.mark.parametrize("name, theta", [
+        ("gamma", (0.5, 1.5)), ("weibull", (0.5, 1.5)), ("chi_square", (1.0,))])
+    def test_finite_limit_where_the_density_diverges(self, name, theta):
+        # s = 0.5 and k = qN = 2: F^{k-1} f tends to C^2 s at x = 0, which
+        # the one-point formula at x = 1e-30 gives to within O(x^s)
+        d = dist(name, *theta)
+        got, _ = penalty_curves(d, 0.25, 8.0, [0.0, 1e-3, 0.3, 1.0, 4.0])
+        want, _ = reference_penalty_curves(d, 0.25, 8.0,
+                                           [1e-30, 1e-3, 0.3, 1.0, 4.0], 0.05)
+        assert got[0] == got.max() == 1.0
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
     def test_sigma_default_is_half_a_decile(self):
         d = dist("normal", 0.0, 1.0)
         grid = np.linspace(-4, 4, 101)

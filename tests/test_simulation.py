@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qmatch.distributions import FAMILY_NAMES, cdf, dist, ppf
+from qmatch.distributions import cdf, dist
 from qmatch.orderstats import (
     joint_uniform_os_logpdf,
     os_logpdf,
@@ -171,12 +171,6 @@ class TestUniformRows:
                              for i in range(9000)])
         assert rows.tobytes() == expected.tobytes()
 
-    def test_rows_from_a_start_index_match_the_full_block(self):
-        full = _uniform_rows(2**40 + 9, 9000, 3)
-        for start, reps in ((0, 9000), (4090, 10), (4096, 4904), (8999, 1)):
-            rows = _uniform_rows(2**40 + 9, reps, 3, start)
-            assert rows.tobytes() == full[start:start + reps].tobytes()
-
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="non-negative"):
             _uniform_rows(-1, 3, 4)
@@ -204,20 +198,6 @@ class TestOsMarginalOracle:
             for i in range(100)
         ])
         np.testing.assert_allclose(draws, rebuilt, rtol=1e-12)
-
-    @pytest.mark.parametrize("name", FAMILY_NAMES)
-    def test_blocks_pick_what_one_sorted_matrix_would(self, name):
-        # 9000 rows span three sorted blocks; the picks must keep their bits
-        theta = {"normal": (0.5, 2.0), "cauchy": (0.5, 2.0),
-                 "lognormal": (0.0, 0.5), "chi_square": (3.0,),
-                 "exponential": (2.0,)}.get(name, (2.5, 1.5))
-        d = dist(name, *theta)
-        u = _uniform_rows(11, 9000, 7)
-        u.sort(axis=1)
-        for k in (1, 4, 7):
-            want = ppf(d.spec, d.theta, u[:, k - 1])
-            got = os_marginal_oracle(d, 7, k, reps=9000, seed=11)
-            assert got.tobytes() == want.tobytes()
 
     def test_same_seed_columns_are_comonotone(self):
         # same replicate streams, so the k=9 draw never exceeds the k=10 one
