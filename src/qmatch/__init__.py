@@ -24,10 +24,8 @@ from .orderstats import (
     QuantileObservation,
     gaussian_noise_loglik,
     joint_os_loglik,
-    os_logpdf,
     penalty_curves,
     uniform_os_cdf,
-    uniform_os_logpdf,
 )
 from .predictive import (
     FitReport,
@@ -66,10 +64,8 @@ __all__ = [
     "QuantileObservation",
     "gaussian_noise_loglik",
     "joint_os_loglik",
-    "os_logpdf",
     "penalty_curves",
     "uniform_os_cdf",
-    "uniform_os_logpdf",
     "FitReport",
     "Score",
     "compare_models",

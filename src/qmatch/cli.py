@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +171,7 @@ def _compare_one(family: str, obs, *settings):
     """A compare worker's fit: the report without its draws, which the
     parent does not read, and the report's encoded ranking entry."""
     report = _fit_one(family, obs, *settings)
-    return replace(report, draws=None), _ranking_entry(report)
+    return report.without_draws(), _ranking_entry(report)
 
 
 def _usable_cpus() -> int:

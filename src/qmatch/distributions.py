@@ -12,7 +12,7 @@ lognormal               (log-location, log-scale),   log-scale > 0
 weibull, frechet        (shape, scale),              both > 0
 gamma                   (shape, scale),  density x^{a-1} e^{-x/s}
 inv_gamma               (shape, scale),  density x^{-a-1} e^{-s/x}
-chi_square              (degrees of freedom,)        > 0, real-valued
+chi_square              (df,) = gamma(df / 2, 2)     > 0, real-valued
 exponential             (rate,)                      > 0
 ======================  =============================================
 
@@ -290,29 +290,6 @@ def _frechet_terms(xs):
     return terms
 
 
-def _chi_square_terms(xs):
-    log, lgamma = math.log, math.lgamma
-    pts = tuple((x, lx, 0.5 * x) for x, lx in _log_x(xs))
-    log2 = log(2.0)
-
-    def terms(theta):
-        (nu,) = theta
-        h = 0.5 * nu
-        lgh = lgamma(h)
-        hm1, hl2 = h - 1.0, h * log2
-        us, lfs = [], []
-        for x, lx, hx in pts:
-            if x <= 0.0:
-                us.append(0.0)
-                lfs.append(-_INF if x < 0.0 else _edge_log_pdf(h, log2))
-                continue
-            us.append(_incomplete_gamma(h, hx, False, lgh))
-            lfs.append(hm1 * lx - hx - lgh - hl2)
-        return us, lfs
-
-    return terms
-
-
 def _exponential_terms(xs):
     log, expm1 = math.log, math.expm1
 
@@ -418,16 +395,6 @@ def _frechet_ppf(theta, p):
     return s * (-np.log(p)) ** (-1.0 / a)
 
 
-def _chi_square_cdf_array(theta, x):
-    (nu,) = theta
-    return gamma_pq(0.5 * nu, 0.5 * np.where(x > 0.0, x, 0.0))[0]
-
-
-def _chi_square_ppf(theta, p):
-    (nu,) = theta
-    return 2.0 * gamma_pq_inverse(0.5 * nu, p, 1.0 - p)
-
-
 def _exponential_cdf_array(theta, x):
     (rate,) = theta
     return np.where(x > 0.0, -np.expm1(-rate * x), 0.0)
@@ -451,10 +418,26 @@ def _cauchy_ppf(theta, p):
     return loc + sc * np.where(p == 0.5, 0.0, z)
 
 
+def _chi_square_as_gamma(theta):
+    # chi_square(df) is gamma(df / 2, 2) (Johnson, Kotz & Balakrishnan
+    # 1994, Continuous Univariate Distributions, vol. 1)
+    return 0.5 * theta[0], 2.0
+
+
+def _as_gamma(kind):
+    """chi_square's kernel of `kind`: gamma's, behind _chi_square_as_gamma."""
+    kernel = globals()[f"_gamma_{kind}"]
+    if kind == "terms":     # xs -> theta -> (CDF values, log-densities)
+        return lambda xs: lambda theta, terms=kernel(xs): terms(
+            _chi_square_as_gamma(theta))
+    return lambda theta, v: kernel(_chi_square_as_gamma(theta), v)
+
+
 # per family, found by name (_<family>_<kind>): the array CDF and inverse
-# CDF, and the fused per-point kernel
+# CDF, and the fused per-point kernel; chi_square's are gamma's (_as_gamma)
 _CDF_ARRAY, _PPF, _TERMS = (
-    {name: globals()[f"_{name}_{kind}"] for name in FAMILY_NAMES}
+    {name: _as_gamma(kind) if name == "chi_square"
+     else globals()[f"_{name}_{kind}"] for name in FAMILY_NAMES}
     for kind in ("cdf_array", "ppf", "terms"))
 
 

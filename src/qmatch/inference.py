@@ -233,7 +233,7 @@ def _log_density(model: ModelSpec, jacobian: bool = True):
                 e = _ETA_CAP if e > _ETA_CAP else e
                 log_jac += e
                 e = exp(e)
-            if e == 0.0 or not isfinite(e):
+            if (e == 0.0 and pos) or not isfinite(e):
                 return -inf, -inf   # underflowed or overflowed parameter
             z = (e - m) / s
             total += -0.5 * z * z - log_s - _HALF_LOG_TWO_PI

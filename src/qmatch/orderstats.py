@@ -1,4 +1,4 @@
-"""Order-statistics likelihood kernels, all in log domain.
+"""Order-statistics likelihoods in log domain, and ``uniform_os_cdf``.
 
 Given M empirical quantile levels ``q`` with values ``x`` computed from a
 hidden sample of size N, the joint density of the corresponding order
@@ -46,21 +46,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .distributions import _TERMS, Dist, FamilySpec
-from .special import log_beta, log_gamma
+from .distributions import _TERMS, Dist, FamilySpec, _chi_square_as_gamma
+from .special import log_gamma
 
 __all__ = [
     "LIKELIHOOD_KINDS",
     "QuantileObservation",
     "uniform_os_cdf",
-    "uniform_os_logpdf",
-    "os_logpdf",
     "log_norm_const",
-    "joint_uniform_os_logpdf",
     "compile_loglik",
     "joint_os_loglik",
     "gaussian_noise_loglik",
@@ -176,28 +172,6 @@ def _pow_term(e: float, v: float) -> float:
     return e * math.log(v)
 
 
-def uniform_os_logpdf(n: float, k: float, x: float) -> float:
-    """log Beta(x | k, n - k + 1): marginal density of the k-th uniform
-    order statistic, generalized to real-valued k through the gamma
-    function."""
-    n = float(n)
-    k = float(k)
-    if not 0.0 < k <= n:
-        raise ValueError(f"order k must satisfy 0 < k <= n, got k={k}, n={n}")
-    x = float(x)
-    if not 0.0 < x < 1.0:
-        return -_INF
-    return ((k - 1.0) * math.log(x) + (n - k) * math.log1p(-x)
-            - log_beta(k, n - k + 1.0))
-
-
-def os_logpdf(d: Dist, n: float, k: float, x: float) -> float:
-    """Log-density of the k-th order statistic of n draws from d at x:
-    the uniform marginal evaluated at F(x) plus the Jacobian log f(x)."""
-    u = d.cdf(x)
-    return uniform_os_logpdf(n, k, u) + d.log_pdf(x)
-
-
 def _k_diffs(k: tuple[float, ...]) -> tuple[float, ...]:
     diffs = tuple(b - a for a, b in zip(k, k[1:]))
     for d in diffs:
@@ -225,41 +199,15 @@ def log_norm_const(n: float, k) -> float:
     return total
 
 
-def joint_uniform_os_logpdf(n: float, k, u) -> float:
-    """Joint log-density of M uniform order statistics with real-valued
-    orders k at points u; -inf (zero density) off the ordered simplex,
-    error on boundary values whose exponent is negative."""
-    kk = tuple(float(v) for v in k)
-    uu = tuple(float(v) for v in u)
-    if len(uu) != len(kk):
-        raise ValueError(f"dimension mismatch: {len(kk)} orders, {len(uu)} points")
-    for v in uu:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"u values must lie in [0, 1], got {v!r}")
-    if any(b <= a for a, b in zip(uu, uu[1:])):
-        return -_INF
-    total = log_norm_const(n, kk)
-    total += _pow_term(kk[0] - 1.0, uu[0])
-    total += _pow_term(float(n) - kk[-1], 1.0 - uu[-1])
-    for m in range(1, len(uu)):
-        total += _pow_term(kk[m] - kk[m - 1] - 1.0, uu[m] - uu[m - 1])
-    return total
-
-
-@lru_cache(maxsize=4096)
-def _cached_norm_const(n: float, q: tuple[float, ...]) -> float:
-    return log_norm_const(n, tuple(v * n for v in q))
-
-
 def compile_loglik(family: FamilySpec, obs: QuantileObservation,
                    kind: str = "order_statistics",
                    sigma_noise: float = 0.05):
     """theta -> the `kind` log-likelihood of obs under `family`, with theta
     a sequence of plain floats inside the parameter domains.
 
-    "order_statistics" is ``joint_uniform_os_logpdf(N, q*N, F(x)) + sum
-    log f(x_m)`` with the CDF clamp described in the module docstring;
-    tied CDF values give -inf and increment ``tie_events``.
+    "order_statistics" is the log of the module docstring's joint density
+    at k = q*N, with its CDF clamp; tied CDF values give -inf and
+    increment ``tie_events``.
     "gaussian_noise" is sum_m log N(q_m | F_theta(x_m), sigma_noise^2).
     What does not depend on theta (the family's fused kernel over obs.x,
     the normalising constant, the exponents, the Gaussian-noise constants)
@@ -288,7 +236,7 @@ def compile_loglik(family: FamilySpec, obs: QuantileObservation,
 
         return gaussian_noise
 
-    norm = _cached_norm_const(n, q)
+    norm = log_norm_const(n, tuple(v * n for v in q))
     low = q[0] * n - 1.0                        # k_1 - 1
     high = n - q[-1] * n                        # N - k_M
     spacing = (0.0,) + tuple((b - a) * n - 1.0 for a, b in zip(q, q[1:]))
@@ -367,7 +315,7 @@ def penalty_curves(d: Dist, q: float, n: float, x_grid,
     log_os = np.array([_pow_term(e_lo, v) + _pow_term(e_hi, 1.0 - v) + lf
                        for v, lf in zip(u, log_fs)])
     if log_os.max() == _INF:    # f diverges at x = 0: F ~ C x^s there, so
-        s, scale = d.theta if d.spec.arity == 2 else (d.theta[0] / 2, 2.0)
+        s, scale = d.theta if d.spec.arity == 2 else _chi_square_as_gamma(d.theta)
         e = s * k - 1.0         # F^{k-1} f ~ C^k s x^e, where C scale^s is
         log_os[log_os == _INF] = -_INF if e > 0.0 else _INF if e < 0.0 else (
             math.log(s / scale)     # 1 (weibull) or 1 / Gamma(s + 1)

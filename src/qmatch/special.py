@@ -34,7 +34,6 @@ import numpy as np
 
 __all__ = [
     "log_gamma",
-    "log_beta",
     "gamma_p",
     "gamma_q",
     "gamma_pq",
@@ -60,11 +59,6 @@ def log_gamma(z: float) -> float:
     if not z > 0.0:  # also rejects NaN
         raise ValueError(f"log_gamma requires z > 0, got {z!r}")
     return math.lgamma(z)
-
-
-def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b), for a, b > 0."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
 def _p_series(a: float, x: float, lga) -> float:

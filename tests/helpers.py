@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -76,8 +77,6 @@ def log_mean_exp(values):
 def nested_gl_mass(n, k, nodes=48):
     """Integrate exp(joint_uniform_os_logpdf) over the ordered simplex by
     recursively mapping Gauss-Legendre nodes onto (u_{m-1}, next bound)."""
-    from qmatch.orderstats import joint_uniform_os_logpdf
-
     pts, wts = gauss_legendre(nodes)
     m = len(k)
 
@@ -94,6 +93,16 @@ def nested_gl_mass(n, k, nodes=48):
         return total * width
 
     return level(0, 0.0, ())
+
+
+def src_env():
+    """os.environ with the tested qmatch's src/ first on PYTHONPATH, so a
+    child interpreter imports the same qmatch as the suite."""
+    import qmatch
+
+    src = str(Path(qmatch.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
 def exit_worker(*args, **kwargs):
@@ -124,15 +133,9 @@ def reference_p_series(a, x, lga):
                           f"a={a}, x={x}")
 
 
-# -- reference likelihoods ----------------------------------------------------
-# Plain evaluations on a Dist, written out independently of
-# orderstats.compile_loglik, so tests can hold the compiled closure to them
-# bit for bit.
-
-_CDF_CLAMP = 1e-300
-_CDF_CLAMP_HI = math.nextafter(1.0, 0.0)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
+# -- uniform order-statistic oracles ------------------------------------------
+# Densities of uniform order statistics written out one point at a time,
+# for the tests that integrate them or compare the likelihood against them.
 
 def _pow_term(e, v):
     if e == 0.0:
@@ -144,6 +147,68 @@ def _pow_term(e, v):
             f"density diverges: boundary value with negative exponent {e}"
         )
     return e * math.log(v)
+
+
+def log_beta(a, b):
+    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b), for a, b > 0."""
+    from qmatch.special import log_gamma
+
+    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+
+
+def uniform_os_logpdf(n, k, x):
+    """log Beta(x | k, n - k + 1): marginal density of the k-th uniform
+    order statistic, generalized to real-valued k through the gamma
+    function."""
+    n = float(n)
+    k = float(k)
+    if not 0.0 < k <= n:
+        raise ValueError(f"order k must satisfy 0 < k <= n, got k={k}, n={n}")
+    x = float(x)
+    if not 0.0 < x < 1.0:
+        return -math.inf
+    return ((k - 1.0) * math.log(x) + (n - k) * math.log1p(-x)
+            - log_beta(k, n - k + 1.0))
+
+
+def os_logpdf(d, n, k, x):
+    """Log-density of the k-th order statistic of n draws from d at x:
+    the uniform marginal evaluated at F(x) plus the Jacobian log f(x)."""
+    u = d.cdf(x)
+    return uniform_os_logpdf(n, k, u) + d.log_pdf(x)
+
+
+def joint_uniform_os_logpdf(n, k, u):
+    """Joint log-density of M uniform order statistics with real-valued
+    orders k at points u; -inf (zero density) off the ordered simplex,
+    error on boundary values whose exponent is negative."""
+    from qmatch.orderstats import log_norm_const
+
+    kk = tuple(float(v) for v in k)
+    uu = tuple(float(v) for v in u)
+    if len(uu) != len(kk):
+        raise ValueError(f"dimension mismatch: {len(kk)} orders, {len(uu)} points")
+    for v in uu:
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"u values must lie in [0, 1], got {v!r}")
+    if any(b <= a for a, b in zip(uu, uu[1:])):
+        return -math.inf
+    total = log_norm_const(n, kk)
+    total += _pow_term(kk[0] - 1.0, uu[0])
+    total += _pow_term(float(n) - kk[-1], 1.0 - uu[-1])
+    for m in range(1, len(uu)):
+        total += _pow_term(kk[m] - kk[m - 1] - 1.0, uu[m] - uu[m - 1])
+    return total
+
+
+# -- reference likelihoods ----------------------------------------------------
+# Plain evaluations on a Dist, written out independently of
+# orderstats.compile_loglik, so tests can hold the compiled closure to them
+# bit for bit.
+
+_CDF_CLAMP = 1e-300
+_CDF_CLAMP_HI = math.nextafter(1.0, 0.0)
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def reference_joint_os_loglik(d, obs):

@@ -30,7 +30,7 @@ from qmatch.inference import SamplerConfig, build_model, sample_posterior
 from qmatch.orderstats import QuantileObservation, penalty_curves
 from qmatch.predictive import compare_models, make_fit_report
 
-from helpers import exit_worker
+from helpers import exit_worker, src_env
 
 SALARY_QUANTILES = {
     "EL": (12918, (4930.0, 7500.0, 11000.0)),
@@ -1051,7 +1051,7 @@ class TestDeterminism:
                 [sys.executable, "-m", "qmatch.cli", "fit", el_csv,
                  "--family", "gamma", "--seed", "7", "--out", str(out)]
                 + TINY,
-                check=False, capture_output=True)
+                check=False, capture_output=True, env=src_env())
         assert filecmp.cmp(*outs, shallow=False)
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
@@ -1062,7 +1062,7 @@ class TestDeterminism:
                 [sys.executable, "-m", "qmatch.cli", "compare", el_csv,
                  "--families", "all", "--seed", "7", "--out", str(out),
                  "--chains", "2", "--warmup", "200", "--samples", "100"],
-                check=False, capture_output=True)
+                check=False, capture_output=True, env=src_env())
         assert len(ranking_from_json(outs[0].read_text())[0]) == 9
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
@@ -1105,6 +1105,7 @@ class TestDeterminism:
         # | head closing early must not produce error text on stderr
         cmd = (f"{sys.executable} -m qmatch.cli curves --mode penalty "
                f"--dist normal --params 0,1 --n 1000 | head -2")
-        r = subprocess.run(cmd, shell=True, capture_output=True, text=True)
+        r = subprocess.run(cmd, shell=True, capture_output=True, text=True,
+                           env=src_env())
         assert r.stderr == ""
         assert len(r.stdout.splitlines()) == 2

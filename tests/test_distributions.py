@@ -337,3 +337,84 @@ class TestArrayKernelShapes:
             ppf("normal", (0.0, 1.0), [0.5, 1.0])
         with pytest.raises(ValueError, match="gamma"):
             cdf("gaussian", (0.0, 1.0), 0.0)
+
+
+def _outcome(f):
+    """The bits of f()'s values, or the type of what it raises."""
+    try:
+        return np.asarray(f(), dtype=float).tobytes()
+    except Exception as exc:    # the type is what is compared
+        return type(exc)
+
+
+class TestChiSquareIsGamma:
+    """chi_square(df) is gamma(df / 2, 2): every kernel and every consumer of
+    the kernels gives the bits, or the exception type, of gamma at
+    (df / 2, 2)."""
+
+    DFS = np.geomspace(1e-3, 1e5, 23).tolist() + [0.5, 1.0, 2.0, 3.3]
+    XS = [-1.0, -5e-324, 0.0, 5e-324, 1e-300, 1e-8, 0.01, 0.3, 1.0, 2.5,
+          7.0, 30.0, 1e3, 1e5, 1e300]
+
+    def test_dist_cdf_log_pdf_and_quantile(self):
+        for df in self.DFS:
+            chi, gam = dist("chi_square", df), dist("gamma", 0.5 * df, 2.0)
+            for x in self.XS:
+                assert _outcome(lambda: chi.cdf(x)) == _outcome(
+                    lambda: gam.cdf(x)), (df, x)
+                assert _outcome(lambda: chi.log_pdf(x)) == _outcome(
+                    lambda: gam.log_pdf(x)), (df, x)
+            for p in P_GRID[::2]:
+                assert _outcome(lambda: chi.quantile(p)) == _outcome(
+                    lambda: gam.quantile(p)), (df, p)
+
+    def test_array_cdf_and_ppf(self):
+        df = np.array(self.DFS)[:, None]
+        x = np.array(self.XS)
+        np.testing.assert_array_equal(cdf("chi_square", (df,), x),
+                                      cdf("gamma", (0.5 * df, 2.0), x))
+        np.testing.assert_array_equal(ppf("chi_square", (df,), P_GRID),
+                                      ppf("gamma", (0.5 * df, 2.0), P_GRID))
+
+    @pytest.mark.parametrize("kind", ["order_statistics", "gaussian_noise"])
+    def test_compiled_likelihoods(self, kind):
+        from qmatch.orderstats import QuantileObservation, compile_loglik
+
+        chi, gam = get_family("chi_square"), get_family("gamma")
+        for q, x, n in [((0.25, 0.5, 0.75), (0.5, 1.4, 2.8), 100.0),
+                        ((0.1, 0.5, 0.9), (0.0, 3.0, 40.0), 2000.0),
+                        ((0.1, 0.9), (-1.0, 1e-300), 50.0),
+                        ((0.5, 0.99), (1e3, 1e5), 1e4)]:
+            obs = QuantileObservation(q, x, n)
+            f, g = compile_loglik(chi, obs, kind), compile_loglik(gam, obs, kind)
+            for df in self.DFS:
+                assert _outcome(lambda: f((df,))) == _outcome(
+                    lambda: g((0.5 * df, 2.0))), (q, x, df)
+
+    @pytest.mark.parametrize("df", [0.5, 2.0, 3.3])
+    def test_penalty_curves(self, df):
+        from qmatch.orderstats import penalty_curves
+
+        grid = [-1.0, 0.0, 5e-324, 1e-300] + np.linspace(0.01, 12.0, 300).tolist()
+        for q, n in [(0.5, 100.0), (0.04, 100.0), (0.1, 5.0), (0.001, 500.0)]:
+            got = penalty_curves(dist("chi_square", df), q, n, grid)
+            want = penalty_curves(dist("gamma", 0.5 * df, 2.0), q, n, grid)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_same_exception_past_ln_gamma_range(self):
+        from qmatch.distributions import _CDF_ARRAY, _PPF, _TERMS
+
+        # df = 5e-324 halves to a gamma shape of 0, which Dist rejects, so
+        # gamma's side is its raw kernels at (0.0, 2.0)
+        for df, error in [(5e-324, ValueError), (1e306, OverflowError)]:
+            chi, a = dist("chi_square", df), np.array(0.5 * df)
+            calls = [lambda: chi.quantile(0.5),
+                     lambda: cdf("chi_square", (df,), [0.0, 1.0]),
+                     lambda: ppf("chi_square", (df,), 0.3),
+                     lambda: _CDF_ARRAY["gamma"]((a, 2.0), np.array([0.0, 1.0])),
+                     lambda: _PPF["gamma"]((a, 2.0), np.array(0.3))]
+            for x in (-1.0, 0.0, 1.0):
+                calls += [lambda x=x: chi.cdf(x), lambda x=x: chi.log_pdf(x),
+                          lambda x=x: _TERMS["gamma"]((x,))((0.5 * df, 2.0))]
+            assert [_outcome(f) for f in calls] == [error] * len(calls)

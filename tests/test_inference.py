@@ -29,7 +29,7 @@ from qmatch.inference import (
     to_constrained,
     to_unconstrained,
 )
-from qmatch.orderstats import QuantileObservation
+from qmatch.orderstats import QuantileObservation, joint_os_loglik
 from qmatch.simulation import SimConfig, simulate_quantile_data
 
 from helpers import (SEEDS, reference_gaussian_noise_loglik,
@@ -201,6 +201,21 @@ class TestLogPosterior:
         model = build_model("gamma", el_obs())
         assert log_posterior(model, np.array([-800.0, 0.0])) == -math.inf
 
+    @pytest.mark.parametrize("name", ["normal", "cauchy"])
+    def test_real_parameter_of_zero_has_density(self, name):
+        # a location of exactly 0.0 is inside the domain; only a positive
+        # parameter that underflows to 0.0 has zero density
+        obs = QuantileObservation(q=(0.25, 0.5, 0.75), x=(-0.7, 0.0, 0.7),
+                                  n_total=100)
+        model = build_model(name, obs)
+        expected = 0.0
+        for z in (0.0, 0.01):   # theta = (0, 1) under the N(0, 100^2) prior
+            expected += (-0.5 * z * z - math.log(100.0)
+                         - 0.5 * math.log(2 * math.pi))
+        expected += joint_os_loglik(dist(name, 0.0, 1.0), obs)
+        assert math.isfinite(expected)
+        assert log_posterior(model, [0.0, 0.0]) == expected
+
     def test_nonfinite_eta_is_an_error(self):
         model = build_model("gamma", el_obs())
         with pytest.raises(ValueError):
@@ -215,8 +230,9 @@ def composed_log_posterior(model, eta):
     (-inf, log_jac, None) where the prior already vanishes."""
     theta, log_jac = to_constrained(model.family, eta)
     total = 0.0
-    for v, m, s in zip(theta, model.prior.means, model.prior.sds):
-        if v == 0.0 or not math.isfinite(v):
+    for v, p, m, s in zip(theta, model.family.params, model.prior.means,
+                          model.prior.sds):
+        if not p.contains(v):   # an underflowed positive parameter is 0
             return -math.inf, log_jac, None
         z = (v - m) / s
         with np.errstate(over="ignore"):    # z * z = inf is the intent

@@ -20,18 +20,17 @@ from qmatch.orderstats import (
     QuantileObservation,
     gaussian_noise_loglik,
     joint_os_loglik,
-    joint_uniform_os_logpdf,
     log_norm_const,
-    os_logpdf,
     penalty_curves,
     reset_tie_events,
     uniform_os_cdf,
-    uniform_os_logpdf,
 )
 import qmatch.orderstats as orderstats
 
-from helpers import (adaptive_simpson, gauss_legendre, nested_gl_mass,
-                     reference_joint_os_loglik, reference_penalty_curves)
+from helpers import (adaptive_simpson, gauss_legendre, joint_uniform_os_logpdf,
+                     log_beta, nested_gl_mass, os_logpdf,
+                     reference_joint_os_loglik, reference_penalty_curves,
+                     uniform_os_logpdf)
 
 
 def el_observation() -> QuantileObservation:
@@ -208,7 +207,6 @@ class TestLogNormConst:
             math.log(120.0), abs=1e-12)
 
     def test_single_order_matches_beta(self):
-        from qmatch.special import log_beta
         assert log_norm_const(20, (5.0,)) == pytest.approx(
             -log_beta(5.0, 16.0), rel=1e-12)
 

@@ -2,13 +2,21 @@
 alone, and importing the CLI stays cheap."""
 
 import importlib
-import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import qmatch
+
+from helpers import src_env
+
+
+def test_qmatch_is_imported_from_this_checkout():
+    # pyproject's pytest pythonpath puts src/ first, so a bare pytest run
+    # tests this tree even where another qmatch is installed
+    here = Path(__file__).resolve().parent.parent / "src" / "qmatch"
+    assert Path(qmatch.__file__).resolve().parent == here
 
 
 def test_every_all_entry_resolves():
@@ -23,11 +31,9 @@ def test_every_all_entry_resolves():
 
 def _run_fresh(code: str) -> str:
     """stdout of `code` run in a fresh interpreter that imports this qmatch."""
-    src = str(Path(qmatch.__file__).resolve().parent.parent)
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          check=True, capture_output=True, text=True,
+                          timeout=60)
     return proc.stdout.strip()
 
 

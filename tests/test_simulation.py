@@ -13,11 +13,7 @@ import pytest
 from scipy import stats
 
 from qmatch.distributions import cdf, dist
-from qmatch.orderstats import (
-    joint_uniform_os_logpdf,
-    os_logpdf,
-    uniform_os_cdf,
-)
+from qmatch.orderstats import uniform_os_cdf
 from qmatch.simulation import (
     SimConfig,
     _uniform_rows,
@@ -26,7 +22,8 @@ from qmatch.simulation import (
     simulate_quantile_data,
 )
 
-from helpers import adaptive_simpson, gauss_legendre
+from helpers import (adaptive_simpson, gauss_legendre, joint_uniform_os_logpdf,
+                     os_logpdf)
 
 
 class TestSimConfig:

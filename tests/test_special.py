@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import reference_p_series
+from helpers import log_beta, reference_p_series
 from qmatch import special
 from qmatch.distributions import _std_normal_cdf_array, cdf, dist
 from qmatch.special import (
@@ -19,7 +19,6 @@ from qmatch.special import (
     gamma_pq,
     gamma_pq_inverse,
     gamma_q,
-    log_beta,
     log_gamma,
     std_normal_ppf,
 )
