@@ -1,25 +1,31 @@
 """Posterior machinery: priors, reparameterization, MCMC, MAP.
 
-Sampling is adaptive random-walk Metropolis (Haario, Saksman & Tamminen
-2001) in an unconstrained space; positive parameters get a log bijection.
-Chains start at draws from the Laplace approximation at the mode and
-propose with the Cholesky factor of its covariance; where the density has
-no finite start or no negative-definite Hessian there, they start at
-N(0, 1) draws with an identity factor and step ``_FALLBACK_STEP`` (0.1).
-In warmup a Robbins-Monro step tunes the acceptance rate towards
-``_TARGET_ACCEPTANCE`` (0.3) and, each quarter, the factor becomes the
-Cholesky factor of the ridged covariance of the last half of the warmup
-draws; both then freeze, so the retained chain is a genuine Metropolis
-chain.
+Sampling runs in an unconstrained space; positive parameters get a log
+bijection.  Chains start at draws from the Laplace approximation at the
+mode; where the density has no finite start or no negative-definite
+Hessian there, they start at N(0, 1) draws.  Warmup is adaptive
+random-walk Metropolis (Haario, Saksman & Tamminen 2001): it proposes with
+the Laplace fit's Cholesky factor (else the identity with step
+``_FALLBACK_STEP``, 0.1), a Robbins-Monro step tunes the acceptance rate
+towards ``_TARGET_ACCEPTANCE`` (0.3), and each quarter the factor becomes
+the Cholesky factor of the ridged covariance of the last half of the
+warmup draws.  Sampling is independence Metropolis (Tierney 1994): each
+chain proposes mu + 1.3 L t, t a Student t with 5 degrees of freedom, mu
+and L L^T the mean and ridged covariance of the last half of its own
+warmup.  The heavy tails and the inflated scale are there to keep pi / q
+bounded, the condition under which an independence sampler is uniformly
+ergodic (Mengersen & Tweedie 1996).
 
 Priors are Gaussians on the *constrained* parameters (broad by default:
 mean 0, sd 100), so the Jacobian term enters only through the bijection.
 
 ``_log_density(model)`` compiles the model once per fit into a closure
-from eta (plain floats) to (log-posterior, log-likelihood), the likelihood
-being ``orderstats.compile_loglik``'s.  ``log_posterior``, the sampler and
-``map_estimate`` all evaluate it; per step the sampler does no numpy work
-and records the order-statistics log-likelihood of each state it enters.
+from eta (plain floats) to the log-posterior and a record of the state,
+the likelihood being ``orderstats``'.  ``log_posterior``, the sampler and
+``map_estimate`` all evaluate it.  A chain draws its random numbers up
+front and builds its sampling proposals in numpy, so per step it makes
+one density call and does no numpy work; it keeps the order-statistics
+log-likelihood of each state it enters, taken from that state's record.
 
 Chains own private RNG streams seeded by (seed, chain_id): results are
 reproducible bit-for-bit and independent of evaluation order.
@@ -60,6 +66,10 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _ETA_CAP = 700.0
 _TARGET_ACCEPTANCE = 0.3   # the warmup's Robbins-Monro target
 _FALLBACK_STEP = 0.1       # the step of chains started without a Laplace fit
+# the sampling proposal: a t with _T_DOF degrees of freedom, scaled by
+# _T_INFLATION times the Cholesky factor of the warmup covariance
+_T_DOF = 5.0
+_T_INFLATION = 1.3
 
 
 @dataclass(frozen=True)
@@ -208,18 +218,23 @@ def to_constrained(family: FamilySpec, eta) -> tuple[np.ndarray, float]:
 
 
 def _log_density(model: ModelSpec, jacobian: bool = True):
-    """Compile the model to log_density(eta) -> (log_post, log_lik).
+    """Compile the model to log_density(eta) -> (log_post, record).
 
     eta is a sequence of finite plain floats in sampling space.  log_post
     is the unnormalized log-posterior: log-likelihood plus log-prior at
     theta = to_constrained(eta), plus the bijection Jacobian when
     `jacobian` is set (the MCMC target) and without it otherwise (the
-    theta-space density that optimization targets).  log_lik is the
-    model's own log-likelihood at theta.  Both are -inf, and nothing
-    raises, wherever the density vanishes.
+    theta-space density that optimization targets).  It is -inf, and
+    nothing raises, wherever the density vanishes.  record is the
+    order-statistics log-likelihood at theta under that likelihood; under
+    the Gaussian-noise likelihood it is the fused kernel's values at
+    theta, from which ``orderstats._order_statistics(_values, obs)`` gives
+    that log-likelihood without a second kernel call.
     """
-    loglik = compile_loglik(model.family, model.obs, model.likelihood_kind,
-                            model.sigma_noise)
+    gaussian = model.likelihood_kind == "gaussian_noise"
+    loglik = (orderstats._gaussian_noise_and_terms(model.family, model.obs,
+                                                   model.sigma_noise)
+              if gaussian else compile_loglik(model.family, model.obs))
     params = tuple((ps.domain == "positive", m, s, math.log(s))
                    for ps, m, s in zip(model.family.params, model.prior.means,
                                        model.prior.sds))
@@ -240,11 +255,14 @@ def _log_density(model: ModelSpec, jacobian: bool = True):
             if total == -inf:
                 return -inf, -inf
             theta.append(e)
-        ll = loglik(theta)
+        if gaussian:
+            ll, record = loglik(theta)
+        else:
+            ll = record = loglik(theta)
         if ll == -inf:
-            return -inf, ll
+            return -inf, record
         total += ll
-        return (total + log_jac if jacobian else total), ll
+        return (total + log_jac if jacobian else total), record
 
     return log_density
 
@@ -333,15 +351,44 @@ def _unit_factor(chol: np.ndarray) -> tuple[np.ndarray, float]:
     return chol / gm, gm
 
 
+def _moments(states) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and Cholesky factor of the covariance of the last half of
+    `states`, ridged so that a buffer which never moved still factors."""
+    tail = np.array(states[len(states) // 2:])
+    cov = np.atleast_2d(np.cov(tail, rowvar=False, bias=True))
+    cov += (1e-10 * np.trace(cov) + 1e-24) * np.eye(len(cov))
+    return tail.mean(axis=0), np.linalg.cholesky(cov)
+
+
+def _log_t(etas: np.ndarray, center: np.ndarray, scale: np.ndarray):
+    """Log density, up to a constant, of the multivariate t with _T_DOF
+    degrees of freedom, location center and scale factor scale at each
+    row of etas."""
+    r = np.linalg.solve(scale, (etas - center).T)
+    return -0.5 * (_T_DOF + len(center)) * np.log1p(
+        (r * r).sum(axis=0) / _T_DOF)
+
+
 def _run_chain(log_density, cfg: SamplerConfig, chain: int, center,
-               factor, step):
+               factor, step, loglik=None):
     """One chain on private RNG stream (seed, chain), started at a draw of
-    center + factor @ N(0, I), proposing step * factor @ N(0, I) at first.
+    center + factor @ N(0, I).
+
+    Warmup is random-walk Metropolis proposing step * factor @ N(0, I),
+    the step tuned by Robbins-Monro and the factor refreshed each quarter.
+    Sampling is independence Metropolis from the t proposal mu + 1.3 L t,
+    mu and L L^T being the mean and covariance of the last half of
+    warmup, so every chain learns its own proposal.
 
     Returns the sampling-phase states (samples_per_chain x arity), the
     rows where the state changed (row 0 first), the log-likelihood of the
     state entered at each of those rows, and the sampling acceptance rate.
+    `loglik` maps the record of a state (see ``_log_density``) to that
+    log-likelihood; by default the record is the log-likelihood.
     """
+    if loglik is None:
+        def loglik(record):
+            return record
     arity = len(center)
     rng = np.random.default_rng([cfg.seed, chain])
     ties = orderstats.tie_events
@@ -350,57 +397,73 @@ def _run_chain(log_density, cfg: SamplerConfig, chain: int, center,
         raise _no_start(f"failed to find a finite starting point in 100 "
                         f"tries; last eta = {np.asarray(eta)}", 100, ties)
 
-    warmup = cfg.warmup
-    z = rng.standard_normal((warmup + cfg.samples_per_chain, arity))
-    log_u = np.log(rng.random(len(z))).tolist()
+    warmup, n = cfg.warmup, cfg.samples_per_chain
+    z = rng.standard_normal((warmup + n, arity))
+    log_u = np.log(rng.random(warmup + n))
+    w = rng.chisquare(_T_DOF, n)
 
     factor, gm = _unit_factor(factor)
     step *= gm
     quarter = warmup // 4
-    # the factor changes at each quarter of warmup and freezes with the
-    # step when sampling starts: one product of increments per segment
-    bounds = sorted({0, quarter, 2 * quarter, 3 * quarter, warmup, len(z)})
-    states, rows, lls = [], [], []
+    # the factor changes at each quarter of warmup: one product of
+    # increments per segment
+    bounds = sorted({0, quarter, 2 * quarter, 3 * quarter, warmup})
+    states, moves = [], 0
     for a, b in zip(bounds, bounds[1:]):
-        if a == warmup:
-            if len(rows) / warmup < 1e-3:
-                raise RuntimeError(
-                    f"chain {chain} rejected essentially every warmup "
-                    f"proposal (acceptance {len(rows) / warmup:.2e}); the "
-                    f"sampler is stuck at eta = {np.asarray(eta)}")
-            # row 0 of the sampling phase holds the state warmup ended in
-            states, rows, lls = [], [0], lls[-1:]
-        elif a:
-            # the ridge lets a buffer that never moved still factor
-            cov = np.atleast_2d(np.cov(np.array(states[len(states) // 2:]),
-                                       rowvar=False, bias=True))
-            cov += (1e-10 * np.trace(cov) + 1e-24) * np.eye(arity)
-            factor, _ = _unit_factor(np.linalg.cholesky(cov))
+        if a:
+            factor, _ = _unit_factor(_moments(states)[1])
         # rows become float lists one at a time, which keeps fewer small
         # objects alive than converting the whole block
         for t, inc, lu in zip(range(a, b),
                               map(np.ndarray.tolist, z[a:b] @ factor.T),
-                              log_u[a:b]):
+                              log_u[a:b].tolist()):
             prop = [e + step * d for e, d in zip(eta, inc)]
-            lp_prop, ll_prop = log_density(prop)
+            lp_prop, rec_prop = log_density(prop)
             accept = lp_prop - lp >= lu
             if accept:
-                eta, lp = prop, lp_prop
-                rows.append(t - warmup)
-                lls.append(ll_prop)
+                eta, lp, record = prop, lp_prop, rec_prop
+                moves += 1
             states.append(eta)
-            if t < warmup:
-                step *= math.exp((t + 1.0) ** -0.6 * (
-                    (1.0 if accept else 0.0) - _TARGET_ACCEPTANCE))
-    rate = (len(rows) - 1) / cfg.samples_per_chain
+            step *= math.exp((t + 1.0) ** -0.6 * (
+                (1.0 if accept else 0.0) - _TARGET_ACCEPTANCE))
+    if moves / warmup < 1e-3:
+        raise RuntimeError(
+            f"chain {chain} rejected essentially every warmup proposal "
+            f"(acceptance {moves / warmup:.2e}); the sampler is stuck at "
+            f"eta = {np.asarray(eta)}")
+
+    # The proposals, their log densities and the acceptance bars
+    # log q(eta') + log u are fixed before the first step, so a step is one
+    # density call and one comparison: accept when
+    # [lp(eta') - lq(eta')] - [lp(eta) - lq(eta)] >= log u.
+    mu, chol = _moments(states)
+    scale = _T_INFLATION * chol
+    props = mu + (z[warmup:] / np.sqrt(w / _T_DOF)[:, None]) @ scale.T
+    lq = _log_t(np.vstack([eta, props]), mu, scale)
+    weight = lp - lq[0]
+    # row 0 of the sampling phase holds the state warmup ended in
+    rows, lls, kept = [0], [loglik(record)], [eta]
+    for t, prop, lq_prop, bar in zip(range(n), props.tolist(),
+                                     lq[1:].tolist(),
+                                     (lq[1:] + log_u[warmup:]).tolist()):
+        lp_prop, rec_prop = log_density(prop)
+        if lp_prop - weight >= bar:
+            weight = lp_prop - lq_prop
+            rows.append(t)
+            lls.append(loglik(rec_prop))
+            kept.append(prop)
+    rate = (len(rows) - 1) / n
+    etas = np.repeat(np.array(kept), np.diff(rows, append=n), axis=0)
     if len(rows) > 1 and rows[1] == 0:      # the first proposal was accepted
         del rows[0], lls[0]
-    return np.array(states), rows, lls, rate
+    return etas, rows, lls, rate
 
 
 def sample_posterior(model: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
-    """Adaptive random-walk Metropolis, cfg.chains independent chains
-    started as ``_start`` says.
+    """cfg.chains independent chains started as ``_start`` says, each
+    cfg.warmup adaptive random-walk steps and then cfg.samples_per_chain
+    independence Metropolis steps from a t proposal fitted to its warmup
+    (see ``_run_chain``).
 
     Each draw's order-statistics log-likelihood is recorded as the chain
     enters its state, so a state that repeats is not evaluated again.
@@ -409,43 +472,29 @@ def sample_posterior(model: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
     arity = family.arity
     log_density = _log_density(model)
     start = _start(log_density, arity, cfg)
+    loglik = (orderstats._order_statistics(orderstats._values, model.obs)
+              if model.likelihood_kind == "gaussian_noise" else None)
     blocks, rates, rows, lls = [], [], [], []
     for chain in range(cfg.chains):
-        etas, moved, ll, rate = _run_chain(log_density, cfg, chain, *start)
+        etas, moved, ll, rate = _run_chain(log_density, cfg, chain, *start,
+                                           loglik=loglik)
         blocks.append(etas)
         rates.append(rate)
         rows.extend(chain * cfg.samples_per_chain + r for r in moved)
         lls.extend(ll)
 
-    eta_draws = np.vstack(blocks)
     chain_id = np.repeat(np.arange(cfg.chains), cfg.samples_per_chain)
-
-    draws = np.empty_like(eta_draws)
-    for i, ps in enumerate(family.params):
-        col = eta_draws[:, i]
-        draws[:, i] = np.exp(col) if ps.domain == "positive" else col
-
-    # The order-statistics loglik must be that of the stored draw.  Under
-    # the order-statistics likelihood the chain recorded it at theta =
-    # math.exp(eta), which np.exp may round one ulp differently: evaluate
-    # again only where it did.  Under the Gaussian-noise likelihood it is
-    # evaluated once per state entered.
+    # Each state entered maps to theta as the closure maps it, so the
+    # order-statistics likelihood the chain kept is that of the stored draw
     rows = np.array(rows)
-    if model.likelihood_kind == "order_statistics":
-        values = np.array(lls)
-        stale = np.zeros(rows.size, dtype=bool)
-        for i, ps in enumerate(family.params):
-            if ps.domain == "positive":
-                exact = [math.exp(min(e, _ETA_CAP))
-                         for e in eta_draws[rows, i].tolist()]
-                stale |= draws[rows, i] != exact
-    else:
-        values = np.empty(rows.size)
-        stale = np.ones(rows.size, dtype=bool)
-    os_loglik = compile_loglik(family, model.obs)
-    for j in np.flatnonzero(stale):
-        values[j] = os_loglik(draws[rows[j]].tolist())
-    log_lik = np.repeat(values, np.diff(rows, append=draws.shape[0]))
+    entered = np.vstack(blocks)[rows]
+    for i, ps in enumerate(family.params):
+        if ps.domain == "positive":
+            entered[:, i] = [math.exp(e if e < _ETA_CAP else _ETA_CAP)
+                             for e in entered[:, i].tolist()]
+    counts = np.diff(rows, append=chain_id.size)
+    draws = np.repeat(entered, counts, axis=0)
+    log_lik = np.repeat(lls, counts)
 
     return PosteriorDraws(draws=draws, chain_id=chain_id,
                           log_likelihood=log_lik, seed=cfg.seed,

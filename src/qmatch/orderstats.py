@@ -20,7 +20,10 @@ and the public ``joint_os_loglik``/``gaussian_noise_loglik`` on a ``Dist``
 all evaluate that closure.  The order-statistics closure gets every
 F_theta(x_m) and log f_theta(x_m) from one call of the family's fused
 kernel (``distributions._TERMS``) and clamps and tie-checks the u_m in one
-pass; the Gaussian-noise closure reads only the CDFs.  ``penalty_curves``
+pass; the Gaussian-noise closure reads only the CDFs.  A Gaussian-noise
+fit keeps the order-statistics likelihood of each state it enters too: it
+sums it from the kernel values its own closure already computed
+(``_gaussian_noise_and_terms``, ``_order_statistics``).  ``penalty_curves``
 renders both as normalized one-point likelihood curves for comparing their
 tail behavior, from one fused-kernel call over its whole grid.
 
@@ -220,22 +223,44 @@ def compile_loglik(family: FamilySpec, obs: QuantileObservation,
     if kind not in LIKELIHOOD_KINDS:
         raise ValueError(f"likelihood kind must be one of {LIKELIHOOD_KINDS}, "
                          f"got {kind!r}")
-    terms = _TERMS[family.name](obs.x)
-    n, q = obs.n_total, obs.q
-
     if kind == "gaussian_noise":
-        const = -_HALF_LOG_TWO_PI - math.log(sigma_noise)
-        inv_two_var = 0.5 / (sigma_noise * sigma_noise)
+        noise = _gaussian_noise_and_terms(family, obs, sigma_noise)
+        return lambda theta: noise(theta)[0]
+    return _order_statistics(_TERMS[family.name](obs.x), obs)
 
-        def gaussian_noise(theta) -> float:
-            total = 0.0
-            for qm, u in zip(q, terms(theta)[0]):
-                r = qm - u
-                total += const - r * r * inv_two_var
-            return total
 
-        return gaussian_noise
+def _gaussian_noise_and_terms(family: FamilySpec, obs: QuantileObservation,
+                              sigma_noise: float):
+    """theta -> (the Gaussian-noise log-likelihood, the fused kernel's
+    values at obs.x), so that a caller can also have the order-statistics
+    likelihood at theta without a second kernel call:
+    ``_order_statistics(_values, obs)`` of those values."""
+    terms = _TERMS[family.name](obs.x)
+    q = obs.q
+    const = -_HALF_LOG_TWO_PI - math.log(sigma_noise)
+    inv_two_var = 0.5 / (sigma_noise * sigma_noise)
 
+    def gaussian_noise(theta):
+        values = terms(theta)
+        total = 0.0
+        for qm, u in zip(q, values[0]):
+            r = qm - u
+            total += const - r * r * inv_two_var
+        return total, values
+
+    return gaussian_noise
+
+
+def _values(values):
+    # a stand-in kernel for _order_statistics: the values that a kernel
+    # call already returned
+    return values
+
+
+def _order_statistics(terms, obs: QuantileObservation):
+    """theta -> the order-statistics log-likelihood of obs, terms(theta)
+    giving the (CDF values, log-density values) at obs.x."""
+    n, q = obs.n_total, obs.q
     norm = log_norm_const(n, tuple(v * n for v in q))
     low = q[0] * n - 1.0                        # k_1 - 1
     high = n - q[-1] * n                        # N - k_M

@@ -142,7 +142,11 @@ def predictive_cdf(pd: PosteriorDraws, family, x_grid) -> PredictiveCurve:
     for j in range(0, grid.size, rows):
         values = cdf(family, theta, grid[j:j + rows, None])
         mean[j:j + rows] = values.mean(axis=1)
-        band[:, j:j + rows] = np.quantile(values, (0.05, 0.95), axis=1)
+        # the same values as without the sort; np.quantile partitions, and
+        # on well-mixed draws, with few repeated states, partitioning sorted
+        # rows after numpy's SIMD sort took half the time
+        band[:, j:j + rows] = np.quantile(np.sort(values, axis=1),
+                                          (0.05, 0.95), axis=1)
     return PredictiveCurve(x=grid, mean=mean, lo=band[0], hi=band[1])
 
 

@@ -159,6 +159,14 @@ def _log_prefactor(a, x, lga):
     return a * np.log(x) - x - lga
 
 
+def _split(done):
+    # Integer indices of the finished and of the live elements.  They index
+    # as the masks do, but a mask about half True in no order, as the draws
+    # of a well-mixed chain give, costs numpy a mispredicted branch per
+    # element: 8 arrays of 8000 took 265 us that way and 46 us this way.
+    return np.flatnonzero(done), np.flatnonzero(~done)
+
+
 def _p_series_array(a, x, lga):
     # _p_series on 1-D arrays; each element leaves the loop when it converges
     out = np.empty(a.size)
@@ -172,11 +180,11 @@ def _p_series_array(a, x, lga):
         total += term
         done = term < total * _REL_EPS
         if done.any():
+            done, keep = _split(done)
             scale = _log_prefactor(a[done], x[done], lga[done])
             out[idx[done]] = np.where(scale < _LOG_UNDERFLOW, 0.0,
                                       total[done] * np.exp(scale))
-            keep = ~done
-            if not keep.any():
+            if not keep.size:
                 return out
             idx, a, x, lga = idx[keep], a[keep], x[keep], lga[keep]
             term, total, denom = term[keep], total[keep], denom[keep]
@@ -209,8 +217,8 @@ def _q_continued_fraction_array(a, x, lga):
         h *= delta
         done = np.abs(delta - 1.0) < _REL_EPS
         if done.any():
+            done, keep = _split(done)
             out[idx[done]] = np.exp(scale[done]) * h[done]
-            keep = ~done
             idx, a, x, scale = idx[keep], a[keep], x[keep], scale[keep]
             b, c, d, h = b[keep], c[keep], d[keep], h[keep]
     raise ArithmeticError(f"incomplete gamma fraction failed to converge: "
@@ -358,8 +366,8 @@ def gamma_pq_inverse(a, p, q):
             newton = t * np.exp(-h / slope)
             done = (np.abs(newton - t) <= 1e-12 * t) | (t == 0.0)
             if done.any():
+                done, keep = _split(done)
                 out[idx[done]] = np.where(t[done] == 0.0, 0.0, newton[done])
-                keep = ~done
                 idx, a, lga, lower = idx[keep], a[keep], lga[keep], lower[keep]
                 log_target = log_target[keep]
                 t, lo, hi, newton = t[keep], lo[keep], hi[keep], newton[keep]
