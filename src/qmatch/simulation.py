@@ -94,7 +94,7 @@ def simulate_quantile_data(cfg: SimConfig) -> QuantileObservation:
 
 _M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_CHUNK = 4096  # rows hashed per pass; bounds the Python ints alive at once
+_CHUNK = 4096  # rows per pass; bounds the Python ints and uniforms alive
 
 
 def _pcg64_states(seed: int, reps: int):
@@ -141,18 +141,26 @@ def _pcg64_states(seed: int, reps: int):
             yield ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _M128, inc
 
 
-def _uniform_rows(seed: int, reps: int, n: int) -> np.ndarray:
-    """Row i is np.random.default_rng([seed, i]).random(n), clipped at
-    _TINY_U; one generator is re-seeded per row instead of built."""
-    out = np.empty((reps, n))
+def _uniform_blocks(seed: int, reps: int, n: int):
+    """Yield rows 0, ..., reps - 1 in blocks of at most _CHUNK: row i is
+    np.random.default_rng([seed, i]).random(n), clipped at _TINY_U; one
+    generator is re-seeded per row instead of built."""
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
-    for row, (state, inc) in zip(out, _pcg64_states(seed, reps)):
-        bit_gen.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                         "uinteger": 0,
-                         "state": {"state": state, "inc": inc}}
-        gen.random(out=row)
-    return np.clip(out, _TINY_U, None, out=out)
+    states = _pcg64_states(seed, reps)
+    for start in range(0, reps, _CHUNK):
+        block = np.empty((min(_CHUNK, reps - start), n))
+        for row, (state, inc) in zip(block, states):
+            bit_gen.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                             "uinteger": 0,
+                             "state": {"state": state, "inc": inc}}
+            gen.random(out=row)
+        yield np.clip(block, _TINY_U, None, out=block)
+
+
+def _uniform_rows(seed: int, reps: int, n: int) -> np.ndarray:
+    """The rows of ``_uniform_blocks`` as one reps x n array."""
+    return np.concatenate(list(_uniform_blocks(seed, reps, n)))
 
 
 def empirical_cdf_ensemble(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -184,6 +192,10 @@ def os_marginal_oracle(d: Dist, n_total: int, k: int, reps: int,
     k = int(k_f)
     if int(reps) < 1:
         raise ValueError(f"reps must be >= 1, got {reps!r}")
-    u = _uniform_rows(seed, int(reps), n_total)
-    u.sort(axis=1)
-    return ppf(d.spec, d.theta, u[:, k - 1])
+    # a block at a time, so only _CHUNK rows of n_total uniforms are alive
+    u = np.empty(int(reps))
+    for start, block in zip(range(0, u.size, _CHUNK),
+                            _uniform_blocks(seed, u.size, n_total)):
+        block.sort(axis=1)
+        u[start:start + len(block)] = block[:, k - 1]
+    return ppf(d.spec, d.theta, u)
