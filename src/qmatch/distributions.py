@@ -30,15 +30,21 @@ draws, or a whole batch of uniforms, is one call.  The inverse CDF exists
 only as an array kernel: closed forms where they exist, the AS241 normal
 inverse, and a bracketed Newton inverse of the incomplete gamma otherwise;
 either way ``|cdf(ppf(p)) - p| <= 1e-10``.  ``Dist.quantile`` and
-``Dist.sample`` go through it.  The fused per-point kernel
-``_TERMS[name](xs)`` is plain-float code that returns ``theta -> (CDF
+``Dist.sample`` go through it.  Beside the array CDF ``_CDF_ARRAY`` sits
+an array log-density ``_LOG_PDF_ARRAY``, broadcast the same way.  The
+sampler's array likelihood (``orderstats.compile_loglik_rows``) calls
+both over a chain's proposals; ``cdf``, ``ppf`` and the predictive
+queries call only the CDF.  Both follow the fused kernel's formulas
+operation for operation, so they agree with it to rounding: numpy's exp
+and log are not the C library's to the last bit.  The fused per-point
+kernel ``_TERMS[name](xs)`` is plain-float code that returns ``theta -> (CDF
 values, log-density values)`` at the points xs.  It takes log x once per
 point set and the parameters' logs and ln Gamma once per theta, and shares
 z, x / scale, its log and the Weibull/Frechet t between a point's CDF and
 log-density; a handful of points per call is too few for numpy's per-call
 overhead to pay.  It is the only per-point kernel: ``Dist.cdf`` and
-``Dist.log_pdf`` call it on their one point, both likelihoods and
-``penalty_curves`` on all of theirs.  Because ln Gamma comes before the
+``Dist.log_pdf`` call it on their one point, both plain-float likelihoods
+and ``penalty_curves`` on all of theirs.  Because ln Gamma comes before the
 first point, a gamma or inv_gamma shape above about 2.5e305, or a
 chi_square df above about 5e305 or of 5e-324 (which halves to 0), raises
 ``OverflowError`` or ``ValueError`` at every x, x <= 0 included.  Such
@@ -55,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import (_incomplete_gamma, gamma_pq, gamma_pq_inverse,
+from .special import (_incomplete_gamma, _lgamma, gamma_pq, gamma_pq_inverse,
                       std_normal_ppf)
 
 __all__ = [
@@ -333,6 +339,12 @@ def _normal_cdf_array(theta, x):
     return _std_normal_cdf_array((x - mu) / sg)
 
 
+def _normal_log_pdf_array(theta, x):
+    mu, sg = theta
+    z = (x - mu) / sg
+    return -np.log(sg) - _HALF_LOG_TWO_PI - 0.5 * z * z
+
+
 def _normal_ppf(theta, p):
     mu, sg = theta
     return mu + sg * std_normal_ppf(p)
@@ -343,6 +355,15 @@ def _lognormal_cdf_array(theta, x):
     pos = x > 0.0
     lx = np.log(np.where(pos, x, 1.0))
     return np.where(pos, _std_normal_cdf_array((lx - mu) / sg), 0.0)
+
+
+def _lognormal_log_pdf_array(theta, x):
+    mu, sg = theta
+    pos = x > 0.0
+    lx = np.log(np.where(pos, x, 1.0))
+    lz = (lx - mu) / sg
+    return np.where(pos, -lx - np.log(sg) - _HALF_LOG_TWO_PI - 0.5 * lz * lz,
+                    -_INF)
 
 
 def _lognormal_ppf(theta, p):
@@ -357,6 +378,28 @@ def _weibull_cdf_array(theta, x):
     return np.where(pos, -np.expm1(-t), 0.0)
 
 
+def _edge_log_pdf_array(shape, log_scale, x):
+    # _edge_log_pdf at x = 0 (or where x / scale underflowed), -inf at x < 0
+    edge = np.where(shape > 1.0, -_INF,
+                    np.where(shape == 1.0, -log_scale, _INF))
+    return np.where(x < 0.0, -_INF, edge)
+
+
+def _capped_exp(lt):
+    # exp(lt) with the fused kernels' cut-off: inf from _LOG_EXP_OVERFLOW on
+    return np.where(lt < _LOG_EXP_OVERFLOW, np.exp(lt), _INF)
+
+
+def _weibull_log_pdf_array(theta, x):
+    k, lam = theta
+    llam = np.log(lam)
+    r = x / lam
+    pos = r > 0.0       # x <= 0, or a subnormal x / lam underflowed to 0
+    lz = np.log(np.where(pos, r, 1.0))
+    lf = np.log(k) - llam + (k - 1.0) * lz - _capped_exp(k * lz)
+    return np.where(pos, lf, _edge_log_pdf_array(k, llam, x))
+
+
 def _weibull_ppf(theta, p):
     k, lam = theta
     return lam * (-np.log1p(-p)) ** (1.0 / k)
@@ -365,6 +408,15 @@ def _weibull_ppf(theta, p):
 def _gamma_cdf_array(theta, x):
     a, s = theta
     return gamma_pq(a, np.where(x > 0.0, x, 0.0) / s)[0]
+
+
+def _gamma_log_pdf_array(theta, x):
+    a, s = theta
+    ls = np.log(s)
+    pos = x > 0.0
+    lx = np.log(np.where(pos, x, 1.0))
+    lf = (a - 1.0) * lx - x / s - _lgamma(a) - a * ls
+    return np.where(pos, lf, _edge_log_pdf_array(a, ls, x))
 
 
 def _gamma_ppf(theta, p):
@@ -376,6 +428,14 @@ def _inv_gamma_cdf_array(theta, x):
     a, b = theta
     pos = x > 0.0
     return gamma_pq(a, np.where(pos, b / np.where(pos, x, 1.0), _INF))[1]
+
+
+def _inv_gamma_log_pdf_array(theta, x):
+    a, b = theta
+    pos = x > 0.0
+    xp = np.where(pos, x, 1.0)
+    lf = a * np.log(b) - _lgamma(a) - (a + 1.0) * np.log(xp) - b / xp
+    return np.where(pos, lf, -_INF)
 
 
 def _inv_gamma_ppf(theta, p):
@@ -390,6 +450,15 @@ def _frechet_cdf_array(theta, x):
     return np.where(pos, np.exp(-t), 0.0)
 
 
+def _frechet_log_pdf_array(theta, x):
+    a, s = theta
+    r = x / s
+    pos = r > 0.0       # x <= 0, or a subnormal x / s underflowed to 0
+    lz = np.log(np.where(pos, r, 1.0))
+    lf = np.log(a) - np.log(s) - (1.0 + a) * lz - _capped_exp(-a * lz)
+    return np.where(pos, lf, -_INF)
+
+
 def _frechet_ppf(theta, p):
     a, s = theta
     return s * (-np.log(p)) ** (-1.0 / a)
@@ -400,6 +469,11 @@ def _exponential_cdf_array(theta, x):
     return np.where(x > 0.0, -np.expm1(-rate * x), 0.0)
 
 
+def _exponential_log_pdf_array(theta, x):
+    (rate,) = theta
+    return np.where(x >= 0.0, np.log(rate) - rate * x, -_INF)
+
+
 def _exponential_ppf(theta, p):
     (rate,) = theta
     return -np.log1p(-p) / rate
@@ -408,6 +482,12 @@ def _exponential_ppf(theta, p):
 def _cauchy_cdf_array(theta, x):
     loc, sc = theta
     return np.arctan2(1.0, -(x - loc) / sc) / math.pi
+
+
+def _cauchy_log_pdf_array(theta, x):
+    loc, sc = theta
+    z = (x - loc) / sc
+    return -np.log(math.pi * sc) - np.log1p(z * z)
 
 
 def _cauchy_ppf(theta, p):
@@ -433,12 +513,13 @@ def _as_gamma(kind):
     return lambda theta, v: kernel(_chi_square_as_gamma(theta), v)
 
 
-# per family, found by name (_<family>_<kind>): the array CDF and inverse
-# CDF, and the fused per-point kernel; chi_square's are gamma's (_as_gamma)
-_CDF_ARRAY, _PPF, _TERMS = (
+# per family, found by name (_<family>_<kind>): the array CDF, log-density
+# and inverse CDF, and the fused per-point kernel; chi_square's are gamma's
+# (_as_gamma)
+_CDF_ARRAY, _LOG_PDF_ARRAY, _PPF, _TERMS = (
     {name: _as_gamma(kind) if name == "chi_square"
      else globals()[f"_{name}_{kind}"] for name in FAMILY_NAMES}
-    for kind in ("cdf_array", "ppf", "terms"))
+    for kind in ("cdf_array", "log_pdf_array", "ppf", "terms"))
 
 
 def _run(kernel, theta, v) -> np.ndarray:

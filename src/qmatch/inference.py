@@ -20,12 +20,18 @@ Priors are Gaussians on the *constrained* parameters (broad by default:
 mean 0, sd 100), so the Jacobian term enters only through the bijection.
 
 ``_log_density(model)`` compiles the model once per fit into a closure
-from eta (plain floats) to the log-posterior and a record of the state,
-the likelihood being ``orderstats``'.  ``log_posterior``, the sampler and
-``map_estimate`` all evaluate it.  A chain draws its random numbers up
-front and builds its sampling proposals in numpy, so per step it makes
-one density call and does no numpy work; it keeps the order-statistics
-log-likelihood of each state it enters, taken from that state's record.
+from eta (plain floats) to the log-posterior and the log-likelihood, the
+likelihood being ``orderstats``'.  ``log_posterior``, ``map_estimate``,
+the start and the warmup evaluate it, one call per step.
+``_log_density_rows(model)`` is the same density over the rows of an
+array, through ``_bijection`` and ``orderstats.compile_loglik_rows``.  A
+chain draws its random numbers up front and builds its sampling
+proposals in numpy; since they do not depend on its state, one array
+call scores them all and the accept/reject pass is a scan over plain
+floats.  Each draw carries the order-statistics log-likelihood of its
+state: an order-statistics fit keeps what that array call gave, a
+Gaussian-noise fit computes it for the states its chains entered in one
+array call after they end.
 
 Chains own private RNG streams seeded by (seed, chain_id): results are
 reproducible bit-for-bit and independent of evaluation order.
@@ -42,7 +48,8 @@ import numpy as np
 from .distributions import FamilySpec, get_family
 from . import orderstats
 from .optimize import nelder_mead
-from .orderstats import LIKELIHOOD_KINDS, QuantileObservation, compile_loglik
+from .orderstats import (LIKELIHOOD_KINDS, QuantileObservation,
+                         compile_loglik, compile_loglik_rows)
 
 __all__ = [
     "LIKELIHOOD_KINDS",
@@ -199,42 +206,46 @@ def to_unconstrained(family: FamilySpec, theta) -> np.ndarray:
     return eta
 
 
+def _bijection(family: FamilySpec, eta: np.ndarray):
+    """The inverse bijection on each row of the (n, arity) array eta:
+    theta, exp(eta) capped at exp(_ETA_CAP) on the positive parameters and
+    eta on the others; the log-Jacobian of each row, the sum of its capped
+    positive etas; and a flag on each row with a positive parameter that
+    underflowed to 0 or a parameter that is not finite.  exp is math.exp,
+    so theta has the bits that the scalar ``_log_density`` gives it."""
+    pos = [ps.domain == "positive" for ps in family.params]
+    capped = np.minimum(eta[:, pos], _ETA_CAP)
+    theta = eta.copy()
+    theta[:, pos] = np.fromiter(map(math.exp, capped.ravel().tolist()),
+                                float, capped.size).reshape(capped.shape)
+    bad = (theta[:, pos] == 0.0).any(axis=1) | ~np.isfinite(theta).all(axis=1)
+    return theta, capped.sum(axis=1), bad
+
+
 def to_constrained(family: FamilySpec, eta) -> tuple[np.ndarray, float]:
     """Inverse bijection plus its log-Jacobian (sum of eta over positives)."""
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (family.arity,):
         raise ValueError(f"family {family.name!r} takes {family.arity} "
                          f"parameters, got {eta.shape}")
-    theta = np.empty_like(eta)
-    log_jac = 0.0
-    for i, ps in enumerate(family.params):
-        if ps.domain == "positive":
-            e = min(eta[i], _ETA_CAP)
-            theta[i] = math.exp(e)
-            log_jac += e
-        else:
-            theta[i] = eta[i]
-    return theta, log_jac
+    theta, log_jac, _ = _bijection(family, eta[None])
+    return theta[0], float(log_jac[0])
 
 
 def _log_density(model: ModelSpec, jacobian: bool = True):
-    """Compile the model to log_density(eta) -> (log_post, record).
+    """Compile the model to log_density(eta) -> (log_post, log_lik).
 
     eta is a sequence of finite plain floats in sampling space.  log_post
     is the unnormalized log-posterior: log-likelihood plus log-prior at
     theta = to_constrained(eta), plus the bijection Jacobian when
     `jacobian` is set (the MCMC target) and without it otherwise (the
     theta-space density that optimization targets).  It is -inf, and
-    nothing raises, wherever the density vanishes.  record is the
-    order-statistics log-likelihood at theta under that likelihood; under
-    the Gaussian-noise likelihood it is the fused kernel's values at
-    theta, from which ``orderstats._order_statistics(_values, obs)`` gives
-    that log-likelihood without a second kernel call.
+    nothing raises, wherever the density vanishes.  log_lik is the
+    model's log-likelihood at theta, -inf where the prior vanishes.
+    ``_log_density_rows`` is the same density over rows of an array.
     """
-    gaussian = model.likelihood_kind == "gaussian_noise"
-    loglik = (orderstats._gaussian_noise_and_terms(model.family, model.obs,
-                                                   model.sigma_noise)
-              if gaussian else compile_loglik(model.family, model.obs))
+    loglik = compile_loglik(model.family, model.obs, model.likelihood_kind,
+                            model.sigma_noise)
     params = tuple((ps.domain == "positive", m, s, math.log(s))
                    for ps, m, s in zip(model.family.params, model.prior.means,
                                        model.prior.sds))
@@ -255,14 +266,40 @@ def _log_density(model: ModelSpec, jacobian: bool = True):
             if total == -inf:
                 return -inf, -inf
             theta.append(e)
-        if gaussian:
-            ll, record = loglik(theta)
-        else:
-            ll = record = loglik(theta)
+        ll = loglik(theta)
         if ll == -inf:
-            return -inf, record
+            return -inf, ll
         total += ll
-        return (total + log_jac if jacobian else total), record
+        return (total + log_jac if jacobian else total), ll
+
+    return log_density
+
+
+def _log_density_rows(model: ModelSpec):
+    """Compile the model to log_density(etas) -> (log_post, log_lik), each
+    an (n,) array over the rows of the (n, arity) array etas: what
+    ``_log_density(model)`` gives at each row, to rounding, from one array
+    call of the likelihood.  A row whose parameter underflows or overflows
+    gets -inf in both, as does a row where the prior vanishes; neither
+    reaches the likelihood."""
+    family = model.family
+    loglik = compile_loglik_rows(family, model.obs, model.likelihood_kind,
+                                 model.sigma_noise)
+    means = np.array(model.prior.means)
+    sds = np.array(model.prior.sds)
+    const = -(np.log(sds) + _HALF_LOG_TWO_PI).sum()
+
+    def log_density(etas):
+        theta, log_jac, bad = _bijection(family, etas)
+        with np.errstate(over="ignore"):    # z * z = inf: the prior vanishes
+            z = (theta - means) / sds
+            prior = const - 0.5 * (z * z).sum(axis=1)
+        live = np.flatnonzero(~bad & (prior > -math.inf))
+        lp = np.full(len(etas), -math.inf)
+        ll = lp.copy()
+        ll[live] = loglik(theta[live])
+        lp[live] = prior[live] + ll[live] + log_jac[live]
+        return lp, ll
 
     return log_density
 
@@ -369,26 +406,26 @@ def _log_t(etas: np.ndarray, center: np.ndarray, scale: np.ndarray):
         (r * r).sum(axis=0) / _T_DOF)
 
 
-def _run_chain(log_density, cfg: SamplerConfig, chain: int, center,
-               factor, step, loglik=None):
+def _run_chain(log_density, log_density_rows, cfg: SamplerConfig,
+               chain: int, center, factor, step):
     """One chain on private RNG stream (seed, chain), started at a draw of
     center + factor @ N(0, I).
 
     Warmup is random-walk Metropolis proposing step * factor @ N(0, I),
-    the step tuned by Robbins-Monro and the factor refreshed each quarter.
-    Sampling is independence Metropolis from the t proposal mu + 1.3 L t,
-    mu and L L^T being the mean and covariance of the last half of
-    warmup, so every chain learns its own proposal.
+    the step tuned by Robbins-Monro and the factor refreshed each quarter;
+    each step is one call of the scalar ``log_density``.  Sampling is
+    independence Metropolis from the t proposal mu + 1.3 L t, mu and L L^T
+    being the mean and covariance of the last half of warmup, so every
+    chain learns its own proposal.  Its proposals do not depend on the
+    state, so one call of ``log_density_rows`` scores the state warmup
+    ended in and every proposal, and the accept/reject pass is a scan over
+    plain floats.
 
     Returns the sampling-phase states (samples_per_chain x arity), the
-    rows where the state changed (row 0 first), the log-likelihood of the
-    state entered at each of those rows, and the sampling acceptance rate.
-    `loglik` maps the record of a state (see ``_log_density``) to that
-    log-likelihood; by default the record is the log-likelihood.
+    rows where the state changed (row 0 first), the log-likelihood (the
+    second value of ``log_density_rows``) of the state entered at each of
+    those rows, and the sampling acceptance rate.
     """
-    if loglik is None:
-        def loglik(record):
-            return record
     arity = len(center)
     rng = np.random.default_rng([cfg.seed, chain])
     ties = orderstats.tie_events
@@ -418,10 +455,10 @@ def _run_chain(log_density, cfg: SamplerConfig, chain: int, center,
                               map(np.ndarray.tolist, z[a:b] @ factor.T),
                               log_u[a:b].tolist()):
             prop = [e + step * d for e, d in zip(eta, inc)]
-            lp_prop, rec_prop = log_density(prop)
+            lp_prop, _ = log_density(prop)
             accept = lp_prop - lp >= lu
             if accept:
-                eta, lp, record = prop, lp_prop, rec_prop
+                eta, lp = prop, lp_prop
                 moves += 1
             states.append(eta)
             step *= math.exp((t + 1.0) ** -0.6 * (
@@ -432,73 +469,68 @@ def _run_chain(log_density, cfg: SamplerConfig, chain: int, center,
             f"(acceptance {moves / warmup:.2e}); the sampler is stuck at "
             f"eta = {np.asarray(eta)}")
 
-    # The proposals, their log densities and the acceptance bars
-    # log q(eta') + log u are fixed before the first step, so a step is one
-    # density call and one comparison: accept when
-    # [lp(eta') - lq(eta')] - [lp(eta) - lq(eta)] >= log u.
+    # Row 0 holds the state warmup ended in, row t + 1 the proposal of step
+    # t.  Step t accepts when [lp(eta') - lq(eta')] - [lp(eta) - lq(eta)]
+    # >= log u, and every term but the current state's is known up front.
     mu, chol = _moments(states)
     scale = _T_INFLATION * chol
-    props = mu + (z[warmup:] / np.sqrt(w / _T_DOF)[:, None]) @ scale.T
-    lq = _log_t(np.vstack([eta, props]), mu, scale)
-    weight = lp - lq[0]
-    # row 0 of the sampling phase holds the state warmup ended in
-    rows, lls, kept = [0], [loglik(record)], [eta]
-    for t, prop, lq_prop, bar in zip(range(n), props.tolist(),
-                                     lq[1:].tolist(),
-                                     (lq[1:] + log_u[warmup:]).tolist()):
-        lp_prop, rec_prop = log_density(prop)
-        if lp_prop - weight >= bar:
-            weight = lp_prop - lq_prop
+    etas = np.vstack([eta, mu + (z[warmup:] / np.sqrt(w / _T_DOF)[:, None])
+                      @ scale.T])
+    lp, ll = log_density_rows(etas)
+    weights = (lp - _log_t(etas, mu, scale)).tolist()
+    current, entered, rows = weights[0], [0], [0]
+    for t, weight, lu in zip(range(n), weights[1:], log_u[warmup:].tolist()):
+        if weight - current >= lu:
+            current = weight
+            entered.append(t + 1)
             rows.append(t)
-            lls.append(loglik(rec_prop))
-            kept.append(prop)
     rate = (len(rows) - 1) / n
-    etas = np.repeat(np.array(kept), np.diff(rows, append=n), axis=0)
     if len(rows) > 1 and rows[1] == 0:      # the first proposal was accepted
-        del rows[0], lls[0]
-    return etas, rows, lls, rate
+        del rows[0], entered[0]
+    states = np.repeat(etas[entered], np.diff(rows, append=n), axis=0)
+    return states, rows, ll[entered], rate
 
 
 def sample_posterior(model: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
     """cfg.chains independent chains started as ``_start`` says, each
     cfg.warmup adaptive random-walk steps and then cfg.samples_per_chain
-    independence Metropolis steps from a t proposal fitted to its warmup
-    (see ``_run_chain``).
+    independence Metropolis steps from a t proposal fitted to its warmup,
+    scored in one array call (see ``_run_chain``).
 
-    Each draw's order-statistics log-likelihood is recorded as the chain
-    enters its state, so a state that repeats is not evaluated again.
+    Each draw carries the order-statistics log-likelihood of its state.
+    An order-statistics fit keeps the value its chain's array call gave
+    for each state entered; a Gaussian-noise fit computes it for all the
+    states its chains entered in one array call after they end, so it
+    never feeds back into a chain.  Either way a state that repeats is not
+    evaluated again.
     """
     family = model.family
-    arity = family.arity
     log_density = _log_density(model)
-    start = _start(log_density, arity, cfg)
-    loglik = (orderstats._order_statistics(orderstats._values, model.obs)
-              if model.likelihood_kind == "gaussian_noise" else None)
+    log_density_rows = _log_density_rows(model)
+    start = _start(log_density, family.arity, cfg)
     blocks, rates, rows, lls = [], [], [], []
     for chain in range(cfg.chains):
-        etas, moved, ll, rate = _run_chain(log_density, cfg, chain, *start,
-                                           loglik=loglik)
+        etas, moved, ll, rate = _run_chain(log_density, log_density_rows,
+                                           cfg, chain, *start)
         blocks.append(etas)
         rates.append(rate)
         rows.extend(chain * cfg.samples_per_chain + r for r in moved)
-        lls.extend(ll)
+        lls.append(ll)
 
     chain_id = np.repeat(np.arange(cfg.chains), cfg.samples_per_chain)
-    # Each state entered maps to theta as the closure maps it, so the
-    # order-statistics likelihood the chain kept is that of the stored draw
+    # each state entered maps to theta as the array density mapped it
     rows = np.array(rows)
-    entered = np.vstack(blocks)[rows]
-    for i, ps in enumerate(family.params):
-        if ps.domain == "positive":
-            entered[:, i] = [math.exp(e if e < _ETA_CAP else _ETA_CAP)
-                             for e in entered[:, i].tolist()]
+    entered, _, _ = _bijection(family, np.vstack(blocks)[rows])
+    if model.likelihood_kind == "gaussian_noise":
+        log_lik = compile_loglik_rows(family, model.obs)(entered)
+    else:
+        log_lik = np.concatenate(lls)
     counts = np.diff(rows, append=chain_id.size)
-    draws = np.repeat(entered, counts, axis=0)
-    log_lik = np.repeat(lls, counts)
-
-    return PosteriorDraws(draws=draws, chain_id=chain_id,
-                          log_likelihood=log_lik, seed=cfg.seed,
-                          warmup=cfg.warmup, acceptance_rate=tuple(rates))
+    return PosteriorDraws(draws=np.repeat(entered, counts, axis=0),
+                          chain_id=chain_id,
+                          log_likelihood=np.repeat(log_lik, counts),
+                          seed=cfg.seed, warmup=cfg.warmup,
+                          acceptance_rate=tuple(rates))
 
 
 def map_estimate(model: ModelSpec, restarts: int = 1,

@@ -12,19 +12,23 @@ integers are understood through the usual interpolation),
     ln c = ln N! - ln Gamma(k_1) - ln Gamma(N - k_M + 1)
                  - sum_{m=2}^{M} ln Gamma(k_m - k_{m-1}).
 
-``compile_loglik`` is the one implementation of that likelihood and of the
-CDF-regression baseline, which treats the quantile levels as Gaussian
-observations of F_theta(x).  It computes what does not depend on theta
-once and returns a closure over plain floats; the sampler, ``map_estimate``
-and the public ``joint_os_loglik``/``gaussian_noise_loglik`` on a ``Dist``
-all evaluate that closure.  The order-statistics closure gets every
+``compile_loglik`` implements that likelihood and the CDF-regression
+baseline, which treats the quantile levels as Gaussian observations of
+F_theta(x), over one parameter vector; ``compile_loglik_rows`` implements
+both over the rows of an array of them.  Each computes what does not
+depend on theta once (``_os_constants``, ``_noise_constants``) and
+returns a closure.  The sampler's start and warmup, ``map_estimate`` and
+the public ``joint_os_loglik``/``gaussian_noise_loglik`` on a ``Dist``
+evaluate the plain-float closure.  Its order-statistics form gets every
 F_theta(x_m) and log f_theta(x_m) from one call of the family's fused
 kernel (``distributions._TERMS``) and clamps and tie-checks the u_m in one
-pass; the Gaussian-noise closure reads only the CDFs.  A Gaussian-noise
-fit keeps the order-statistics likelihood of each state it enters too: it
-sums it from the kernel values its own closure already computed
-(``_gaussian_noise_and_terms``, ``_order_statistics``).  ``penalty_curves``
-renders both as normalized one-point likelihood curves for comparing their
+pass; its Gaussian-noise form reads only the CDFs of that call.  The
+sampling phase evaluates the array closure, one call per chain: its
+order-statistics form calls the family's array CDF and array
+log-density, its Gaussian-noise form the array CDF alone.  A
+Gaussian-noise fit gets the order-statistics likelihood of the states
+its chains entered from one more array call after they end.
+``penalty_curves`` renders both as normalized one-point likelihood curves for comparing their
 tail behavior, from one fused-kernel call over its whole grid.
 
 Numerical conventions
@@ -35,9 +39,9 @@ Numerical conventions
 * F_theta(x) is clamped to [1e-300, nextafter(1, 0)], a NaN passing, before
   logs, so an underflowed CDF cannot masquerade as a zero-density region.
 * CDF values that tie once clamped (catastrophically misfit parameters
-  pushing several x into one tail) yield -inf and add one to the
-  module-level ``tie_events`` counter instead of raising, so samplers can
-  simply reject the proposal.
+  pushing several x into one tail) yield -inf and add one per parameter
+  vector to the module-level ``tie_events`` counter instead of raising,
+  so samplers can simply reject the proposal.
 
 All functions are pure; ``tie_events`` is the only piece of module state
 and is a monotone diagnostic counter.  It counts only evaluations made in
@@ -52,7 +56,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import _TERMS, Dist, FamilySpec, _chi_square_as_gamma
+from .distributions import (_CDF_ARRAY, _LOG_PDF_ARRAY, _TERMS, Dist,
+                            FamilySpec, _chi_square_as_gamma)
 from .special import log_gamma
 
 __all__ = [
@@ -61,6 +66,7 @@ __all__ = [
     "uniform_os_cdf",
     "log_norm_const",
     "compile_loglik",
+    "compile_loglik_rows",
     "joint_os_loglik",
     "gaussian_noise_loglik",
     "penalty_curves",
@@ -202,6 +208,29 @@ def log_norm_const(n: float, k) -> float:
     return total
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in LIKELIHOOD_KINDS:
+        raise ValueError(f"likelihood kind must be one of {LIKELIHOOD_KINDS}, "
+                         f"got {kind!r}")
+
+
+def _os_constants(obs: QuantileObservation):
+    """What the order-statistics likelihood of obs takes from (q, N) alone:
+    ln c, the exponents (k_1 - 1, k_2 - k_1 - 1, ..., k_M - k_{M-1} - 1)
+    of the gaps u_1, u_2 - u_1, ..., and N - k_M."""
+    n, q = obs.n_total, obs.q
+    norm = log_norm_const(n, tuple(v * n for v in q))
+    expo = (q[0] * n - 1.0,) + tuple((b - a) * n - 1.0
+                                     for a, b in zip(q, q[1:]))
+    return norm, expo, n - q[-1] * n
+
+
+def _noise_constants(sigma_noise: float):
+    # the log-normalizer of one Gaussian-noise term and 1 / (2 sigma^2)
+    return (-_HALF_LOG_TWO_PI - math.log(sigma_noise),
+            0.5 / (sigma_noise * sigma_noise))
+
+
 def compile_loglik(family: FamilySpec, obs: QuantileObservation,
                    kind: str = "order_statistics",
                    sigma_noise: float = 0.05):
@@ -220,51 +249,23 @@ def compile_loglik(family: FamilySpec, obs: QuantileObservation,
     log-densities after the CDF terms.  Neither builds a ``Dist`` or does
     numpy work.
     """
-    if kind not in LIKELIHOOD_KINDS:
-        raise ValueError(f"likelihood kind must be one of {LIKELIHOOD_KINDS}, "
-                         f"got {kind!r}")
-    if kind == "gaussian_noise":
-        noise = _gaussian_noise_and_terms(family, obs, sigma_noise)
-        return lambda theta: noise(theta)[0]
-    return _order_statistics(_TERMS[family.name](obs.x), obs)
-
-
-def _gaussian_noise_and_terms(family: FamilySpec, obs: QuantileObservation,
-                              sigma_noise: float):
-    """theta -> (the Gaussian-noise log-likelihood, the fused kernel's
-    values at obs.x), so that a caller can also have the order-statistics
-    likelihood at theta without a second kernel call:
-    ``_order_statistics(_values, obs)`` of those values."""
+    _check_kind(kind)
     terms = _TERMS[family.name](obs.x)
-    q = obs.q
-    const = -_HALF_LOG_TWO_PI - math.log(sigma_noise)
-    inv_two_var = 0.5 / (sigma_noise * sigma_noise)
+    if kind == "gaussian_noise":
+        q = obs.q
+        const, inv_two_var = _noise_constants(sigma_noise)
 
-    def gaussian_noise(theta):
-        values = terms(theta)
-        total = 0.0
-        for qm, u in zip(q, values[0]):
-            r = qm - u
-            total += const - r * r * inv_two_var
-        return total, values
+        def gaussian_noise(theta):
+            total = 0.0
+            for qm, u in zip(q, terms(theta)[0]):
+                r = qm - u
+                total += const - r * r * inv_two_var
+            return total
 
-    return gaussian_noise
+        return gaussian_noise
 
-
-def _values(values):
-    # a stand-in kernel for _order_statistics: the values that a kernel
-    # call already returned
-    return values
-
-
-def _order_statistics(terms, obs: QuantileObservation):
-    """theta -> the order-statistics log-likelihood of obs, terms(theta)
-    giving the (CDF values, log-density values) at obs.x."""
-    n, q = obs.n_total, obs.q
-    norm = log_norm_const(n, tuple(v * n for v in q))
-    low = q[0] * n - 1.0                        # k_1 - 1
-    high = n - q[-1] * n                        # N - k_M
-    spacing = (0.0,) + tuple((b - a) * n - 1.0 for a, b in zip(q, q[1:]))
+    norm, (low, *rest), high = _os_constants(obs)
+    spacing = (0.0, *rest)
     log, log1p, lo, hi = math.log, math.log1p, _CDF_CLAMP, _CDF_CLAMP_HI
 
     def order_statistics(theta) -> float:
@@ -288,6 +289,54 @@ def _order_statistics(terms, obs: QuantileObservation):
                 total += e * log(g)
         for v in log_fs:
             total += v
+        return total
+
+    return order_statistics
+
+
+def compile_loglik_rows(family: FamilySpec, obs: QuantileObservation,
+                        kind: str = "order_statistics",
+                        sigma_noise: float = 0.05):
+    """theta -> the `kind` log-likelihood of obs at each row of theta, an
+    (n, arity) array of parameters inside their domains: the values of the
+    ``compile_loglik`` closure to rounding, with its clamp, tie rule and
+    normalising constant, from one array call for all the rows.
+
+    ``tie_events`` rises by one per tied row.  The Gaussian-noise closure
+    calls only the family's array CDF; the order-statistics closure adds
+    its array log-density.
+    """
+    _check_kind(kind)
+    x = np.array(obs.x)
+    cdf = _CDF_ARRAY[family.name]
+    if kind == "gaussian_noise":
+        q = np.array(obs.q)
+        const, inv_two_var = _noise_constants(sigma_noise)
+
+        def gaussian_noise(theta):
+            with np.errstate(all="ignore"):
+                r = q - cdf(tuple(theta.T[:, :, None]), x)
+                return (const - r * r * inv_two_var).sum(axis=1)
+
+        return gaussian_noise
+
+    log_pdf = _LOG_PDF_ARRAY[family.name]
+    norm, expo, high = _os_constants(obs)
+    expo = np.array(expo)
+
+    def order_statistics(theta):
+        global tie_events
+        cols = tuple(theta.T[:, :, None])   # (n, 1) each, against x
+        with np.errstate(all="ignore"):
+            u = np.clip(cdf(cols, x), _CDF_CLAMP, _CDF_CLAMP_HI)  # NaN passes
+            gaps = np.diff(u, axis=1, prepend=0.0)
+            tied = (gaps <= 0.0).any(axis=1)
+            # no matmul: each row's value depends on that row alone
+            total = (norm + (np.log(gaps) * expo).sum(axis=1)
+                     + high * np.log1p(-u[:, -1])
+                     + log_pdf(cols, x).sum(axis=1))
+        tie_events += int(np.count_nonzero(tied))
+        total[tied] = -_INF
         return total
 
     return order_statistics

@@ -29,7 +29,8 @@ from qmatch.inference import (
     to_constrained,
     to_unconstrained,
 )
-from qmatch.orderstats import QuantileObservation, joint_os_loglik
+from qmatch.orderstats import (QuantileObservation, compile_loglik_rows,
+                               joint_os_loglik)
 from qmatch.simulation import SimConfig, simulate_quantile_data
 
 from helpers import (SEEDS, reference_gaussian_noise_loglik,
@@ -292,15 +293,54 @@ class TestCompiledDensity:
             finite += 1
             assert lp == value + log_jac
             assert lp_theta == value
-            if kind == "order_statistics":
-                assert lp_ll == ll
-            else:       # the record: the fused kernel's values at theta
-                theta = to_constrained(model.family, np.array(eta))[0]
-                assert lp_ll == _TERMS[name](model.obs.x)(theta.tolist())
+            assert lp_ll == ll
             assert log_posterior(model, np.array(eta)) == lp
         assert finite >= 30
         if kind == "order_statistics":
             assert ties >= 1
+
+    @pytest.mark.parametrize("kind", LIKELIHOOD_KINDS)
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_array_density_matches_the_scalar_closure(self, name, kind):
+        # the sampler scores its proposals with the array density: over the
+        # grid above it gives the scalar closure's -inf rows, and its values
+        # to 1e-9 of max(1, |value|) (the worst row, frechet's with every
+        # CDF within 2e-8 of 1, reads 1.1e-10: one ulp of u there moves
+        # the log of a gap by 6e-9); a tie adds one event per tied row
+        model = build_model(name, el_obs(), likelihood_kind=kind,
+                            sigma_noise=0.07)
+        scalar = inference._log_density(model)
+        arity = model.family.arity
+        rng = np.random.default_rng(23)
+        etas = ([tuple(rng.standard_normal(arity) * 2.0) for _ in range(60)]
+                + list(itertools.product(ETA_GRID, repeat=arity)))
+        rows, want, failing = [], [], []
+        before = orderstats.tie_events
+        for eta in etas:
+            try:
+                want.append(scalar(list(eta)))
+                rows.append(eta)
+            except ArithmeticError:     # the incomplete gamma at a = x ~ 1e17
+                failing.append(eta)
+        tied = orderstats.tie_events - before
+        before = orderstats.tie_events
+        lp, ll = inference._log_density_rows(model)(np.array(rows))
+        assert orderstats.tie_events - before == tied
+        for got, expected in ((lp, [v[0] for v in want]),
+                              (ll, [v[1] for v in want])):
+            expected = np.array(expected)
+            np.testing.assert_array_equal(np.isneginf(got),
+                                          np.isneginf(expected))
+            finite = np.isfinite(expected)
+            assert finite.sum() >= 30 and not np.isnan(got).any()
+            got, expected = got[finite], expected[finite]
+            assert np.all(np.abs(got - expected)
+                          <= 1e-9 * np.maximum(1.0, np.abs(expected)))
+        if kind == "order_statistics":
+            assert tied >= 1
+        for eta in failing:         # a row that fails fails the whole call
+            with pytest.raises(ArithmeticError):
+                inference._log_density_rows(model)(np.array([eta, etas[0]]))
 
     def test_every_family_has_fused_terms(self):
         assert set(_TERMS) == set(FAMILY_NAMES)
@@ -417,10 +457,15 @@ class TestSamplePosterior:
             pd = sample_posterior(
                 build_model(name, obs, likelihood_kind=kind),
                 SamplerConfig(chains=2, warmup=200, samples_per_chain=300))
+            # the value of the array likelihood at the draw, which is the
+            # reference's to rounding
+            np.testing.assert_array_equal(
+                pd.log_likelihood,
+                compile_loglik_rows(get_family(name), obs)(pd.draws))
             for i in range(pd.n_draws):
                 d = Dist(get_family(name), tuple(pd.draws[i]))
-                assert (pd.log_likelihood[i]
-                        == reference_joint_os_loglik(d, obs))
+                assert pd.log_likelihood[i] == pytest.approx(
+                    reference_joint_os_loglik(d, obs), rel=1e-10, abs=1e-10)
 
     def test_unreachable_support_fails_initialization(self):
         # negative data under a positive-support family: -inf everywhere;
@@ -551,12 +596,15 @@ class TestSamplePosterior:
         shift = np.abs(pd.draws.mean(axis=0) - laplace.mean(axis=0))
         assert np.all(shift < 0.1 * laplace.std(axis=0))
 
-    def test_each_sampling_step_makes_one_density_call(self, monkeypatch):
+    def test_each_chain_scores_its_sampling_phase_in_one_array_call(
+            self, monkeypatch):
         # the warmup ends with its last _moments call; after it a chain
-        # makes samples_per_chain density calls and no more
-        calls = {"n": 0}
+        # makes one array call over its state and samples_per_chain
+        # proposals, and no scalar density call
+        calls = {"scalar": 0, "rows": []}
         marks, ends = [], []
         real_density = inference._log_density
+        real_rows = inference._log_density_rows
         real_moments = inference._moments
         real_chain = inference._run_chain
 
@@ -564,20 +612,30 @@ class TestSamplePosterior:
             density = real_density(model, jacobian)
 
             def counted(eta):
-                calls["n"] += 1
+                calls["scalar"] += 1
                 return density(eta)
             return counted
 
+        def counted_rows_builder(model):
+            density = real_rows(model)
+
+            def counted(etas):
+                calls["rows"].append(len(etas))
+                return density(etas)
+            return counted
+
         def marked_moments(states):
-            marks.append(calls["n"])
+            marks.append((calls["scalar"], len(calls["rows"])))
             return real_moments(states)
 
         def ended_chain(*args, **kwargs):
             out = real_chain(*args, **kwargs)
-            ends.append((calls["n"], len(marks)))
+            ends.append((calls["scalar"], len(calls["rows"]), marks[-1]))
             return out
 
         monkeypatch.setattr(inference, "_log_density", counted_builder)
+        monkeypatch.setattr(inference, "_log_density_rows",
+                            counted_rows_builder)
         monkeypatch.setattr(inference, "_moments", marked_moments)
         monkeypatch.setattr(inference, "_run_chain", ended_chain)
         cfg = SamplerConfig(chains=3, warmup=400, samples_per_chain=250,
@@ -585,10 +643,32 @@ class TestSamplePosterior:
         for name in ("gamma", "normal"):
             for kind in LIKELIHOOD_KINDS:
                 ends.clear()
+                calls["rows"].clear()
                 sample_posterior(build_model(name, el_obs(), kind), cfg)
                 assert len(ends) == cfg.chains
-                for end, n_marks in ends:
-                    assert end - marks[n_marks - 1] == cfg.samples_per_chain
+                for scalar, rows, (scalar_mark, rows_mark) in ends:
+                    assert scalar == scalar_mark
+                    assert rows == rows_mark + 1
+                assert calls["rows"] == [cfg.samples_per_chain + 1] * 3
+
+    def test_gaussian_noise_draws_do_not_depend_on_n(self):
+        # the chains see only the CDF-regression likelihood, which N does
+        # not enter; the order-statistics log-likelihood each draw carries
+        # is computed after them
+        obs = figure3_obs()
+        cfg = SamplerConfig(seed=3)
+        fits = [sample_posterior(build_model("normal", QuantileObservation(
+                    obs.q, obs.x, n), "gaussian_noise"), cfg)
+                for n in (50, 800)]
+        np.testing.assert_array_equal(fits[0].draws, fits[1].draws)
+        assert fits[0].acceptance_rate == fits[1].acceptance_rate
+        for pd, n in zip(fits, (50, 800)):
+            os_obs = QuantileObservation(obs.q, obs.x, n)
+            for i in range(0, pd.n_draws, 97):
+                d = Dist(get_family("normal"), tuple(pd.draws[i]))
+                assert pd.log_likelihood[i] == pytest.approx(
+                    reference_joint_os_loglik(d, os_obs), rel=1e-10,
+                    abs=1e-10)
 
     def test_rejects_invalid_config(self):
         with pytest.raises(ValueError):
@@ -609,6 +689,14 @@ def _gaussian_2d(rho):
     return density
 
 
+def _rows(density):
+    """The array form of a plain-float density: each row in turn."""
+    def rows(etas):
+        lp, ll = zip(*map(density, etas.tolist()))
+        return np.array(lp), np.array(ll)
+    return rows
+
+
 def _recorded_factors(monkeypatch):
     """Every Cholesky factor the sampler normalizes, in call order: a
     chain's start factor, then one per warmup milestone."""
@@ -624,7 +712,9 @@ class TestAdaptiveProposal:
         factors = _recorded_factors(monkeypatch)
         cfg = SamplerConfig(seed=1)
         start = (np.zeros(2), np.eye(2), inference._FALLBACK_STEP)
-        blocks = [inference._run_chain(_gaussian_2d(0.99), cfg, c, *start)[0]
+        target = _gaussian_2d(0.99)
+        blocks = [inference._run_chain(target, _rows(target), cfg, c,
+                                       *start)[0]
                   for c in range(cfg.chains)]
         pd = PosteriorDraws(draws=np.vstack(blocks),
                             chain_id=np.repeat(np.arange(cfg.chains),
@@ -650,7 +740,7 @@ class TestAdaptiveProposal:
 
         cfg = SamplerConfig(warmup=400, samples_per_chain=100, seed=3)
         etas, rows, lls, rate = inference._run_chain(
-            freezing, cfg, 0, np.zeros(2), np.eye(2), 0.1)
+            freezing, _rows(freezing), cfg, 0, np.zeros(2), np.eye(2), 0.1)
         assert rate == 0.0 and rows == [0] and len(lls) == 1
         assert np.all(etas == etas[0])
 
@@ -678,10 +768,12 @@ class TestAdaptiveProposal:
         real = inference._run_chain
         monkeypatch.setattr(inference, "_log_density",
                             lambda model, jacobian=True: flat_in_b)
+        monkeypatch.setattr(inference, "_log_density_rows",
+                            lambda model: _rows(flat_in_b))
         monkeypatch.setattr(
             inference, "_run_chain",
-            lambda f, cfg, chain, *start, **kw: (
-                starts.append(start) or real(f, cfg, chain, *start, **kw)))
+            lambda f, rows, cfg, chain, *start: (
+                starts.append(start) or real(f, rows, cfg, chain, *start)))
         cfg = SamplerConfig(chains=2, warmup=200, samples_per_chain=100)
         sample_posterior(build_model("normal", el_obs()), cfg)
         assert len(starts) == 2

@@ -14,7 +14,8 @@ from qmatch.inference import (
     build_model,
     sample_posterior,
 )
-from qmatch.orderstats import QuantileObservation, joint_os_loglik
+from qmatch.orderstats import (QuantileObservation, compile_loglik_rows,
+                               joint_os_loglik)
 from qmatch.predictive import (
     FitReport,
     ParamSummary,
@@ -261,14 +262,19 @@ class TestScoreModel:
 
     def test_mean_matches_recomputed_loglik(self, el_obs, el_gamma):
         # stored per-draw values must BE the joint order-statistics
-        # log-likelihood, so the score mean is exactly reproducible
+        # log-likelihood, so the score mean is exactly reproducible: from
+        # the array likelihood that the sampler scores proposals with, and
+        # to rounding from the plain-float one behind joint_os_loglik
         _, pd = el_gamma
         spec = get_family("gamma")
-        recomputed = np.fromiter(
+        recomputed = compile_loglik_rows(spec, el_obs)(pd.draws)
+        assert score_model(pd).mean == np.mean(recomputed)
+        scalar = np.fromiter(
             (joint_os_loglik(dist(spec.name, *row), el_obs)
              for row in pd.draws),
             dtype=float, count=pd.n_draws)
-        assert score_model(pd).mean == np.mean(recomputed)
+        np.testing.assert_allclose(recomputed, scalar, rtol=1e-10,
+                                   atol=1e-10)
 
     def test_constant_loglik_gives_zero_widths(self):
         pd = PosteriorDraws(
