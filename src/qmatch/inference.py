@@ -30,8 +30,8 @@ proposals in numpy; since they do not depend on its state, one array
 call scores them all and the accept/reject pass is a scan over plain
 floats.  Each draw carries the order-statistics log-likelihood of its
 state: an order-statistics fit keeps what that array call gave, a
-Gaussian-noise fit computes it for the states its chains entered in one
-array call after they end.
+Gaussian-noise fit computes it for the states a chain entered in one
+array call after the chain ends.
 
 Chains own private RNG streams seeded by (seed, chain_id): results are
 reproducible bit-for-bit and independent of evaluation order.
@@ -499,38 +499,34 @@ def sample_posterior(model: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
 
     Each draw carries the order-statistics log-likelihood of its state.
     An order-statistics fit keeps the value its chain's array call gave
-    for each state entered; a Gaussian-noise fit computes it for all the
-    states its chains entered in one array call after they end, so it
-    never feeds back into a chain.  Either way a state that repeats is not
-    evaluated again.
+    for each state entered; a Gaussian-noise fit computes it for the
+    states a chain entered in one array call after the chain ends, so it
+    never feeds back into the chain.  Either way a state that repeats is
+    not evaluated again.
     """
     family = model.family
     log_density = _log_density(model)
     log_density_rows = _log_density_rows(model)
+    os_loglik = (compile_loglik_rows(family, model.obs)
+                 if model.likelihood_kind == "gaussian_noise" else None)
     start = _start(log_density, family.arity, cfg)
-    blocks, rates, rows, lls = [], [], [], []
+    draws, lls, rates = [], [], []
     for chain in range(cfg.chains):
         etas, moved, ll, rate = _run_chain(log_density, log_density_rows,
                                            cfg, chain, *start)
-        blocks.append(etas)
+        # each state entered maps to theta as the array density mapped it
+        theta, _, _ = _bijection(family, etas[moved])
+        if os_loglik is not None:
+            ll = os_loglik(theta)
+        counts = np.diff(moved, append=cfg.samples_per_chain)
+        draws.append(np.repeat(theta, counts, axis=0))
+        lls.append(np.repeat(ll, counts))
         rates.append(rate)
-        rows.extend(chain * cfg.samples_per_chain + r for r in moved)
-        lls.append(ll)
-
-    chain_id = np.repeat(np.arange(cfg.chains), cfg.samples_per_chain)
-    # each state entered maps to theta as the array density mapped it
-    rows = np.array(rows)
-    entered, _, _ = _bijection(family, np.vstack(blocks)[rows])
-    if model.likelihood_kind == "gaussian_noise":
-        log_lik = compile_loglik_rows(family, model.obs)(entered)
-    else:
-        log_lik = np.concatenate(lls)
-    counts = np.diff(rows, append=chain_id.size)
-    return PosteriorDraws(draws=np.repeat(entered, counts, axis=0),
-                          chain_id=chain_id,
-                          log_likelihood=np.repeat(log_lik, counts),
-                          seed=cfg.seed, warmup=cfg.warmup,
-                          acceptance_rate=tuple(rates))
+    return PosteriorDraws(
+        draws=np.vstack(draws),
+        chain_id=np.repeat(np.arange(cfg.chains), cfg.samples_per_chain),
+        log_likelihood=np.concatenate(lls), seed=cfg.seed,
+        warmup=cfg.warmup, acceptance_rate=tuple(rates))
 
 
 def map_estimate(model: ModelSpec, restarts: int = 1,

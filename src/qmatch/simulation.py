@@ -94,7 +94,7 @@ def simulate_quantile_data(cfg: SimConfig) -> QuantileObservation:
 
 _M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_CHUNK = 4096  # rows per pass; bounds the Python ints and uniforms alive
+_CHUNK = 1024  # rows per pass; bounds the Python ints and uniforms alive
 
 
 def _pcg64_states(seed: int, reps: int):
@@ -192,10 +192,11 @@ def os_marginal_oracle(d: Dist, n_total: int, k: int, reps: int,
     k = int(k_f)
     if int(reps) < 1:
         raise ValueError(f"reps must be >= 1, got {reps!r}")
-    # a block at a time, so only _CHUNK rows of n_total uniforms are alive
-    u = np.empty(int(reps))
-    for start, block in zip(range(0, u.size, _CHUNK),
-                            _uniform_blocks(seed, u.size, n_total)):
+    # a block at a time, so only _CHUNK rows of n_total uniforms, and the
+    # inverse CDF's temporaries for _CHUNK values, are alive
+    out = np.empty(int(reps))
+    for start, block in zip(range(0, out.size, _CHUNK),
+                            _uniform_blocks(seed, out.size, n_total)):
         block.sort(axis=1)
-        u[start:start + len(block)] = block[:, k - 1]
-    return ppf(d.spec, d.theta, u)
+        out[start:start + len(block)] = ppf(d.spec, d.theta, block[:, k - 1])
+    return out
