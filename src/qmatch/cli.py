@@ -75,14 +75,12 @@ def _resolve_seed(args) -> int:
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+    # str.split always yields a field, and float("") raises: never empty
     try:
-        values = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise CliError(f"{flag} expects comma-separated numbers, "
                        f"got {text!r}")
-    if not values:
-        raise CliError(f"{flag} must not be empty")
-    return values
 
 
 def _parse_qrange(text: str) -> tuple[float, ...]:

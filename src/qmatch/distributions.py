@@ -61,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import (_incomplete_gamma, _lgamma, gamma_pq, gamma_pq_inverse,
-                      std_normal_ppf)
+from .special import (_elementwise, _incomplete_gamma, _lgamma, gamma_pq,
+                      gamma_pq_inverse, std_normal_ppf)
 
 __all__ = [
     "FAMILY_NAMES",
@@ -82,8 +82,7 @@ _INF = math.inf
 
 
 def _std_normal_cdf_array(z):
-    erfc = map(math.erfc, (-z / _SQRT2).ravel().tolist())
-    return 0.5 * np.fromiter(erfc, float, z.size).reshape(z.shape)
+    return 0.5 * _elementwise(math.erfc, -z / _SQRT2)
 
 
 @dataclass(frozen=True)

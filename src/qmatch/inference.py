@@ -45,11 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import FamilySpec, get_family
+from .distributions import _HALF_LOG_TWO_PI, FamilySpec, get_family
 from . import orderstats
 from .optimize import nelder_mead
-from .orderstats import (LIKELIHOOD_KINDS, QuantileObservation,
-                         compile_loglik, compile_loglik_rows)
+from .orderstats import (LIKELIHOOD_KINDS, QuantileObservation, _check_kind,
+                         _count, compile_loglik, compile_loglik_rows)
+from .special import _elementwise
 
 __all__ = [
     "LIKELIHOOD_KINDS",
@@ -67,7 +68,6 @@ __all__ = [
     "diagnostics",
 ]
 
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 # exp() saturates here; the Gaussian prior has annihilated the posterior
 # long before, so capping keeps arithmetic silent without changing results
 _ETA_CAP = 700.0
@@ -117,10 +117,7 @@ class ModelSpec:
     sigma_noise: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.likelihood_kind not in LIKELIHOOD_KINDS:
-            raise ValueError(
-                f"likelihood_kind must be one of {LIKELIHOOD_KINDS}, "
-                f"got {self.likelihood_kind!r}")
+        _check_kind(self.likelihood_kind)
         if len(self.prior.means) != self.family.arity:
             raise ValueError(
                 f"prior has {len(self.prior.means)} components but family "
@@ -161,10 +158,7 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         for name in ("chains", "warmup", "samples_per_chain"):
-            v = getattr(self, name)
-            if int(v) != v or int(v) < 1:
-                raise ValueError(f"{name} must be a count >= 1, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -216,8 +210,7 @@ def _bijection(family: FamilySpec, eta: np.ndarray):
     pos = [ps.domain == "positive" for ps in family.params]
     capped = np.minimum(eta[:, pos], _ETA_CAP)
     theta = eta.copy()
-    theta[:, pos] = np.fromiter(map(math.exp, capped.ravel().tolist()),
-                                float, capped.size).reshape(capped.shape)
+    theta[:, pos] = _elementwise(math.exp, capped)
     bad = (theta[:, pos] == 0.0).any(axis=1) | ~np.isfinite(theta).all(axis=1)
     return theta, capped.sum(axis=1), bad
 
@@ -419,12 +412,13 @@ def _run_chain(log_density, log_density_rows, cfg: SamplerConfig,
     chain learns its own proposal.  Its proposals do not depend on the
     state, so one call of ``log_density_rows`` scores the state warmup
     ended in and every proposal, and the accept/reject pass is a scan over
-    plain floats.
+    plain floats.  A warmup that accepted under 1e-3 of its proposals
+    raises, naming its length, since a short one may not have moved yet.
 
-    Returns the sampling-phase states (samples_per_chain x arity), the
-    rows where the state changed (row 0 first), the log-likelihood (the
-    second value of ``log_density_rows``) of the state entered at each of
-    those rows, and the sampling acceptance rate.
+    Returns the states the sampling phase entered, in order (one row
+    each), how many of the samples_per_chain draws each state holds, the
+    log-likelihood (the second value of ``log_density_rows``) of each, and
+    the sampling acceptance rate.
     """
     arity = len(center)
     rng = np.random.default_rng([cfg.seed, chain])
@@ -466,8 +460,10 @@ def _run_chain(log_density, log_density_rows, cfg: SamplerConfig,
     if moves / warmup < 1e-3:
         raise RuntimeError(
             f"chain {chain} rejected essentially every warmup proposal "
-            f"(acceptance {moves / warmup:.2e}); the sampler is stuck at "
-            f"eta = {np.asarray(eta)}")
+            f"(acceptance {moves / warmup:.2e} over a warmup of {warmup}); "
+            f"the sampler is stuck at eta = {np.asarray(eta)}.  A short "
+            f"warmup can end before its first move: try a longer warmup "
+            f"(--warmup)")
 
     # Row 0 holds the state warmup ended in, row t + 1 the proposal of step
     # t.  Step t accepts when [lp(eta') - lq(eta')] - [lp(eta) - lq(eta)]
@@ -487,8 +483,7 @@ def _run_chain(log_density, log_density_rows, cfg: SamplerConfig,
     rate = (len(rows) - 1) / n
     if len(rows) > 1 and rows[1] == 0:      # the first proposal was accepted
         del rows[0], entered[0]
-    states = np.repeat(etas[entered], np.diff(rows, append=n), axis=0)
-    return states, rows, ll[entered], rate
+    return etas[entered], np.diff(rows, append=n), ll[entered], rate
 
 
 def sample_posterior(model: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
@@ -512,13 +507,12 @@ def sample_posterior(model: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
     start = _start(log_density, family.arity, cfg)
     draws, lls, rates = [], [], []
     for chain in range(cfg.chains):
-        etas, moved, ll, rate = _run_chain(log_density, log_density_rows,
-                                           cfg, chain, *start)
+        etas, counts, ll, rate = _run_chain(log_density, log_density_rows,
+                                            cfg, chain, *start)
         # each state entered maps to theta as the array density mapped it
-        theta, _, _ = _bijection(family, etas[moved])
+        theta, _, _ = _bijection(family, etas)
         if os_loglik is not None:
             ll = os_loglik(theta)
-        counts = np.diff(moved, append=cfg.samples_per_chain)
         draws.append(np.repeat(theta, counts, axis=0))
         lls.append(np.repeat(ll, counts))
         rates.append(rate)

@@ -56,8 +56,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import (_CDF_ARRAY, _LOG_PDF_ARRAY, _TERMS, Dist,
-                            FamilySpec, _chi_square_as_gamma)
+from .distributions import (_CDF_ARRAY, _HALF_LOG_TWO_PI, _LOG_PDF_ARRAY,
+                            _TERMS, Dist, FamilySpec, _chi_square_as_gamma)
 from .special import log_gamma
 
 __all__ = [
@@ -79,7 +79,6 @@ _CDF_CLAMP = 1e-300
 # 1 - 1e-300 is not representable; the closest honest upper clamp is the
 # largest double below 1, which log1p still resolves to a finite log
 _CDF_CLAMP_HI = math.nextafter(1.0, 0.0)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 LIKELIHOOD_KINDS = ("order_statistics", "gaussian_noise")
 
@@ -91,6 +90,14 @@ tie_events: int = 0
 def reset_tie_events() -> None:
     global tie_events
     tie_events = 0
+
+
+def _count(name: str, value) -> int:
+    """value as an int, if it is a whole number >= 1 (numpy integers too):
+    the rule for every sample size, replicate and chain count."""
+    if int(value) != value or int(value) < 1:
+        raise ValueError(f"{name} must be a count >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -167,31 +174,6 @@ def uniform_os_cdf(n: int, k: int, x):
     return float(total) if total.ndim == 0 else total
 
 
-def _pow_term(e: float, v: float) -> float:
-    # e * ln(v) with the boundary conventions: exponent 0 contributes nothing
-    # even at v = 0; a genuinely negative exponent at v = 0 is a divergence.
-    if e == 0.0:
-        return 0.0
-    if v <= 0.0:
-        if e > 0.0:
-            return -_INF
-        raise ValueError(
-            f"density diverges: boundary value with negative exponent {e}"
-        )
-    return e * math.log(v)
-
-
-def _k_diffs(k: tuple[float, ...]) -> tuple[float, ...]:
-    diffs = tuple(b - a for a, b in zip(k, k[1:]))
-    for d in diffs:
-        if d <= 0.0:
-            raise ValueError(
-                f"order spacing must be positive (quantiles too close given N); "
-                f"got difference {d!r} in k={k}"
-            )
-    return diffs
-
-
 def log_norm_const(n: float, k) -> float:
     """ln of the joint-density normalization constant:
     ln N! - ln Gamma(k_1) - ln Gamma(N - k_M + 1) - sum ln Gamma(k_m - k_{m-1})."""
@@ -201,7 +183,13 @@ def log_norm_const(n: float, k) -> float:
         raise ValueError(f"orders must be positive, got k_1 = {kk[0]!r}")
     if kk[-1] > n:
         raise ValueError(f"largest order {kk[-1]!r} exceeds n = {n!r}")
-    diffs = _k_diffs(kk)
+    diffs = [b - a for a, b in zip(kk, kk[1:])]
+    for d in diffs:
+        if d <= 0.0:
+            raise ValueError(
+                f"order spacing must be positive (quantiles too close given N); "
+                f"got difference {d!r} in k={kk}"
+            )
     total = log_gamma(n + 1.0) - log_gamma(kk[0]) - log_gamma(n - kk[-1] + 1.0)
     for d in diffs:
         total -= log_gamma(d)
@@ -210,7 +198,7 @@ def log_norm_const(n: float, k) -> float:
 
 def _check_kind(kind: str) -> None:
     if kind not in LIKELIHOOD_KINDS:
-        raise ValueError(f"likelihood kind must be one of {LIKELIHOOD_KINDS}, "
+        raise ValueError(f"likelihood_kind must be one of {LIKELIHOOD_KINDS}, "
                          f"got {kind!r}")
 
 
@@ -227,6 +215,9 @@ def _os_constants(obs: QuantileObservation):
 
 def _noise_constants(sigma_noise: float):
     # the log-normalizer of one Gaussian-noise term and 1 / (2 sigma^2)
+    sigma_noise = float(sigma_noise)
+    if not sigma_noise > 0.0:
+        raise ValueError(f"sigma_noise must be positive, got {sigma_noise!r}")
     return (-_HALF_LOG_TWO_PI - math.log(sigma_noise),
             0.5 / (sigma_noise * sigma_noise))
 
@@ -351,9 +342,6 @@ def joint_os_loglik(d: Dist, obs: QuantileObservation) -> float:
 def gaussian_noise_loglik(d: Dist, obs: QuantileObservation,
                           sigma_noise: float) -> float:
     """CDF-regression baseline: sum_m log N(q_m | F_theta(x_m), sigma_noise^2)."""
-    sigma_noise = float(sigma_noise)
-    if not sigma_noise > 0.0:
-        raise ValueError(f"sigma_noise must be positive, got {sigma_noise!r}")
     return compile_loglik(d.spec, obs, "gaussian_noise", sigma_noise)(d.theta)
 
 
@@ -383,10 +371,12 @@ def penalty_curves(d: Dist, q: float, n: float, x_grid,
     k = q * n
     e_lo = k - 1.0
     e_hi = n - k
-    lo, hi = _CDF_CLAMP, _CDF_CLAMP_HI
+    lo, hi, log = _CDF_CLAMP, _CDF_CLAMP_HI, math.log
     cdfs, log_fs = _TERMS[d.spec.name](grid.tolist())(d.theta)
     u = [lo if v < lo else hi if v > hi else v for v in cdfs]
-    log_os = np.array([_pow_term(e_lo, v) + _pow_term(e_hi, 1.0 - v) + lf
+    # the clamp keeps u and 1 - u positive; a zero exponent adds nothing
+    log_os = np.array([(e_lo * log(v) if e_lo else 0.0)
+                       + (e_hi * log(1.0 - v) if e_hi else 0.0) + lf
                        for v, lf in zip(u, log_fs)])
     if log_os.max() == _INF:    # f diverges at x = 0: F ~ C x^s there, so
         s, scale = d.theta if d.spec.arity == 2 else _chi_square_as_gamma(d.theta)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Dist, ppf
-from .orderstats import QuantileObservation
+from .orderstats import QuantileObservation, _count
 
 __all__ = [
     "SimConfig",
@@ -47,13 +47,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_total", int(self.n_total))
+        object.__setattr__(self, "n_total", _count("n_total", self.n_total))
         object.__setattr__(self, "q", tuple(float(v) for v in self.q))
-        object.__setattr__(self, "reps", int(self.reps))
-        if self.n_total < 1:
-            raise ValueError(f"n_total must be >= 1, got {self.n_total}")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        object.__setattr__(self, "reps", _count("reps", self.reps))
         if len(self.q) == 0:
             raise ValueError("q must be non-empty")
         for v in self.q:
@@ -185,16 +181,14 @@ def os_marginal_oracle(d: Dist, n_total: int, k: int, reps: int,
     Brute-force reference for the analytic marginal: no density code is
     involved, only sampling, sorting and the monotone quantile map.
     """
-    n_total = int(n_total)
+    n_total = _count("n_total", n_total)
     k_f = float(k)
     if not k_f.is_integer() or not 1 <= int(k_f) <= n_total:
         raise ValueError(f"k must be an integer in [1, {n_total}], got {k!r}")
     k = int(k_f)
-    if int(reps) < 1:
-        raise ValueError(f"reps must be >= 1, got {reps!r}")
     # a block at a time, so only _CHUNK rows of n_total uniforms, and the
     # inverse CDF's temporaries for _CHUNK values, are alive
-    out = np.empty(int(reps))
+    out = np.empty(_count("reps", reps))
     for start, block in zip(range(0, out.size, _CHUNK),
                             _uniform_blocks(seed, out.size, n_total)):
         block.sort(axis=1)

@@ -48,10 +48,16 @@ _LOG_UNDERFLOW = -745.0
 _MAX_ITER = 10_000
 
 
+def _elementwise(f, a) -> np.ndarray:
+    """The plain-float function f (math.lgamma, math.erfc, math.exp) on each
+    element of the float array a, in its shape, with the C library's bits."""
+    return np.fromiter(map(f, a.ravel().tolist()), float,
+                       a.size).reshape(a.shape)
+
+
 def _lgamma(a) -> np.ndarray:
     """math.lgamma on each element of the float array a, in its shape."""
-    lga = map(math.lgamma, a.ravel().tolist())
-    return np.fromiter(lga, float, a.size).reshape(a.shape)
+    return _elementwise(math.lgamma, a)
 
 
 def log_gamma(z: float) -> float:

@@ -160,6 +160,11 @@ class TestReadDataset:
         with pytest.raises(DataError, match=r"data\.csv"):
             read_dataset(path)
 
+    def test_no_header(self, tmp_path):
+        path = self.write(tmp_path, "# meta: N=9\n# q,x\n")
+        with pytest.raises(DataError, match="no 'q,x' header found"):
+            read_dataset(path)
+
     def test_no_rows(self, tmp_path):
         path = self.write(tmp_path, "# meta: N=9\nq,x\n")
         with pytest.raises(DataError, match="no data rows"):
@@ -168,6 +173,19 @@ class TestReadDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_dataset(tmp_path / "absent.csv")
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = self.write(tmp_path, "# meta: N=9\n\nq,x\n0.25,1\n  \n"
+                                    "0.75,3\n\n")
+        obs = read_dataset(path)
+        assert obs.q == (0.25, 0.75) and obs.x == (1.0, 3.0)
+
+    def test_non_numeric_meta_divisor_names_line(self, tmp_path):
+        path = self.write(tmp_path, "# meta: N=9 scale_divisor=big\n"
+                                    "q,x\n0.5,1\n")
+        with pytest.raises(DataError,
+                           match=r":1:.*scale_divisor='big' is not a number"):
+            read_dataset(path)
 
 
 class TestDatasetRoundTrip:
@@ -387,6 +405,16 @@ class TestReportRoundTrip:
         with pytest.raises(DataError, match="missing"):
             report_from_json(json.dumps(payload))
 
+    def test_rejects_json_that_is_not_an_object(self):
+        with pytest.raises(DataError, match="must be a JSON object"):
+            report_from_json("[1, 2]")
+
+    def test_rejects_an_unknown_version(self, small_report):
+        payload = json.loads(report_to_json(small_report))
+        payload["version"] = 9
+        with pytest.raises(DataError, match="unsupported report version 9"):
+            report_from_json(json.dumps(payload))
+
     def test_floats_printed_as_their_repr(self, small_report):
         text = report_to_json(small_report)
         p = small_report.params[0]
@@ -455,6 +483,12 @@ class TestReportRoundTrip:
 
 
 class TestRankingRoundTrip:
+    def test_rejects_missing_field(self, small_report):
+        payload = json.loads(ranking_to_json([small_report]))
+        del payload["best"]
+        with pytest.raises(DataError, match="ranking is missing"):
+            ranking_from_json(json.dumps(payload))
+
     def test_round_trip(self, small_report):
         other = type(small_report)(
             **{**small_report.__dict__, "family": "weibull",
@@ -548,6 +582,17 @@ class TestFit:
             ["fit", str(bad), "--family", "gamma"] + TINY, capsys)
         assert code == 1
         assert "sample size" in err
+
+    def test_stuck_short_warmup_names_the_remedy(self, tmp_path, el_csv,
+                                                 capsys):
+        # a one-step warmup that rejects its proposal never moved
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(
+            ["fit", el_csv, "--family", "normal", "--warmup", "1",
+             "--seed", "1", "--out", str(out)], capsys)
+        assert code == 1 and not out.exists()
+        assert "the sampler is stuck" in err
+        assert "over a warmup of 1)" in err and "--warmup" in err
 
     def test_no_draws_trims_report(self, tmp_path, el_csv, capsys):
         out = tmp_path / "trim.json"
@@ -880,6 +925,27 @@ class TestSimulate:
         assert code == 1
         assert "a:b:M" in err
 
+    @pytest.mark.parametrize("quantiles,message", [
+        ("a:0.9:5", "numeric a, b and integer M"),
+        ("0.1:0.9:2.5", "numeric a, b and integer M"),
+        ("0.1:0.9:0", "needs M >= 1, got 0"),
+        ("0.1:0.9:1", "M=1 needs a == b"),
+    ], ids=["non-numeric", "non-integer-M", "M=0", "M=1"])
+    def test_bad_quantile_range_is_input_error(self, quantiles, message,
+                                               capsys):
+        code, out, err = run_cli(
+            ["simulate", "--dist", "normal", "--params", "0,1",
+             "--n", "100", "--quantiles", quantiles], capsys)
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_non_numeric_params_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--dist", "normal", "--params", "0,one",
+             "--n", "100"], capsys)
+        assert code == 1 and out == ""
+        assert "--params expects comma-separated numbers" in err
+
     def test_rank_below_one_is_input_error(self, capsys):
         # q*N < 1 has no realized order statistic to read off
         code, _, err = run_cli(
@@ -978,6 +1044,17 @@ class TestCurves:
             at_x = np.interp(x, data[:, 0], data[:, 1])
             assert at_x == pytest.approx(q, abs=0.02)
 
+    def test_predictive_mode_takes_the_x_range(self, el_report_path,
+                                               capsys):
+        code, out, _ = run_cli(
+            ["curves", "--mode", "predictive", "--report", el_report_path,
+             "--x-range", "0.5:3", "--points", "11"], capsys)
+        assert code == 0
+        rows = [r.split(",") for r in out.strip().splitlines()]
+        assert rows[0] == ["x", "mean", "lo", "hi"]
+        assert [float(r[0]) for r in rows[1:]] == np.linspace(
+            0.5, 3.0, 11).tolist()
+
     def test_ensemble_mode_shape(self, capsys):
         code, out, _ = run_cli(
             ["curves", "--mode", "ensemble", "--dist", "normal",
@@ -1012,7 +1089,12 @@ class TestCurves:
         (["--n", "100", "--sigma-noise", "0"], "sigma_noise must be positive"),
         (["--n", "100", "--sigma-noise", "-0.05"],
          "sigma_noise must be positive"),
-    ], ids=["n=0", "n=-5", "sigma=0", "sigma=-0.05"])
+        (["--n", "100", "--x-range=0:1:2"], "--x-range expects lo:hi"),
+        (["--n", "100", "--x-range=0:big"], "--x-range expects numeric"),
+        (["--n", "100", "--x-range=2:1"], "--x-range needs lo < hi"),
+        (["--n", "100", "--x-range=1:1"], "--x-range needs lo < hi"),
+    ], ids=["n=0", "n=-5", "sigma=0", "sigma=-0.05", "x-range-arity",
+            "x-range-non-numeric", "x-range-lo>hi", "x-range-lo=hi"])
     def test_impossible_penalty_inputs_are_input_errors(self, flags, message,
                                                         capsys):
         code, out, err = run_cli(

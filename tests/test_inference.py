@@ -713,9 +713,14 @@ class TestAdaptiveProposal:
         cfg = SamplerConfig(seed=1)
         start = (np.zeros(2), np.eye(2), inference._FALLBACK_STEP)
         target = _gaussian_2d(0.99)
-        blocks = [inference._run_chain(target, _rows(target), cfg, c,
-                                       *start)[0]
-                  for c in range(cfg.chains)]
+        blocks = []
+        for c in range(cfg.chains):
+            etas, counts, lls, _ = inference._run_chain(
+                target, _rows(target), cfg, c, *start)
+            assert len(etas) == len(counts) == len(lls)
+            assert counts.min() >= 1
+            assert counts.sum() == cfg.samples_per_chain
+            blocks.append(np.repeat(etas, counts, axis=0))
         pd = PosteriorDraws(draws=np.vstack(blocks),
                             chain_id=np.repeat(np.arange(cfg.chains),
                                                cfg.samples_per_chain),
@@ -739,10 +744,11 @@ class TestAdaptiveProposal:
             return target(eta) if calls["n"] <= 60 else (-math.inf, -math.inf)
 
         cfg = SamplerConfig(warmup=400, samples_per_chain=100, seed=3)
-        etas, rows, lls, rate = inference._run_chain(
+        etas, counts, lls, rate = inference._run_chain(
             freezing, _rows(freezing), cfg, 0, np.zeros(2), np.eye(2), 0.1)
-        assert rate == 0.0 and rows == [0] and len(lls) == 1
-        assert np.all(etas == etas[0])
+        # one state, the one warmup ended in, holds every draw
+        assert rate == 0.0 and etas.shape == (1, 2) and len(lls) == 1
+        assert counts.tolist() == [cfg.samples_per_chain]
 
     @pytest.mark.parametrize("name", ["exponential", "chi_square"])
     def test_arity_one_families_take_the_cholesky_path(self, name,

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmatch.distributions import dist
+from qmatch.distributions import dist, get_family
 from qmatch.orderstats import (
     QuantileObservation,
+    compile_loglik,
+    compile_loglik_rows,
     gaussian_noise_loglik,
     joint_os_loglik,
     log_norm_const,
@@ -499,6 +501,19 @@ class TestGaussianNoiseLoglik:
             gaussian_noise_loglik(d, obs, 0.0)
         with pytest.raises(ValueError):
             gaussian_noise_loglik(d, obs, -0.1)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("build", [compile_loglik, compile_loglik_rows])
+    def test_builders_reject_a_sigma_that_is_not_positive(self, build, sigma):
+        obs = QuantileObservation(q=(0.5,), x=(0.0,), n_total=10)
+        with pytest.raises(ValueError, match="sigma_noise must be positive"):
+            build(get_family("normal"), obs, "gaussian_noise", sigma)
+
+    @pytest.mark.parametrize("build", [compile_loglik, compile_loglik_rows])
+    def test_builders_reject_an_unknown_kind(self, build):
+        obs = QuantileObservation(q=(0.5,), x=(0.0,), n_total=10)
+        with pytest.raises(ValueError, match="likelihood_kind must be one of"):
+            build(get_family("normal"), obs, "least_squares")
 
 
 class TestPenaltyCurves:

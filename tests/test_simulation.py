@@ -41,10 +41,18 @@ class TestSimConfig:
         dict(n_total=20, q=(0.5, 0.5)),
         dict(n_total=20, q=(0.7, 0.3)),
         dict(n_total=20, q=(0.5,), reps=0),
+        dict(n_total=20.7, q=(0.5,)),
+        dict(n_total=20, q=(0.5,), reps=2.5),
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(d=dist("normal", 0, 1), **kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SimConfig(d=dist("normal", 0, 1), n_total=np.int64(20),
+                        q=(0.5,), reps=np.int64(2))
+        assert (cfg.n_total, cfg.reps) == (20, 2)
+        assert type(cfg.n_total) is int and type(cfg.reps) is int
 
 
 class TestSimulateQuantileData:
@@ -227,6 +235,16 @@ class TestOsMarginalOracle:
             os_marginal_oracle(d, 10, 2.5, reps=10)
         with pytest.raises(ValueError):
             os_marginal_oracle(d, 10, 2, reps=0)
+        with pytest.raises(ValueError, match="n_total must be a count >= 1"):
+            os_marginal_oracle(d, 20.9, 3, reps=4)
+        with pytest.raises(ValueError, match="reps must be a count >= 1"):
+            os_marginal_oracle(d, 20, 3, reps=4.7)
+
+    def test_accepts_numpy_integers(self):
+        d = dist("normal", 0, 1)
+        draws = os_marginal_oracle(d, np.int64(20), 3, np.int64(4), seed=2)
+        np.testing.assert_array_equal(draws, os_marginal_oracle(d, 20, 3, 4,
+                                                                seed=2))
 
 
 class TestJointAgreement:
