@@ -95,7 +95,8 @@ def reset_tie_events() -> None:
 def _count(name: str, value) -> int:
     """value as an int, if it is a whole number >= 1 (numpy integers too):
     the rule for every sample size, replicate and chain count."""
-    if int(value) != value or int(value) < 1:
+    # compared before int(), which raises its own error on inf and NaN
+    if not 1 <= value < math.inf or int(value) != value:
         raise ValueError(f"{name} must be a count >= 1, got {value!r}")
     return int(value)
 

@@ -4,9 +4,12 @@ Every quantity here is a plain Monte-Carlo functional of the retained
 draws: the predictive CDF averages F_theta over draws (with pointwise 5/95%
 draw-quantile bands), predictive quantiles invert each draw's CDF, and
 model scores summarize the stored per-draw order-statistics
-log-likelihood.  Each query evaluates the family's array kernel with the
-draws' parameter columns as theta: quantiles over all draws at once, the
-CDF over all draws and a block of grid points at a time.
+log-likelihood.  Each query evaluates the family's array kernel once per
+distinct posterior state, with those states' parameter columns as theta
+(quantiles over all of them at once, the CDF over all of them and a block
+of grid points at a time), and gathers the values back to every draw
+before averaging.  A Metropolis chain repeats its state on every rejected
+proposal, so the draws hold fewer states than rows.
 
 Scores stay in the units the model was fitted in (median-normalized for
 the salary data); only quantile outputs are de-normalized, via the
@@ -44,8 +47,19 @@ __all__ = [
 _CDF_BLOCK_ELEMENTS = 2 ** 14
 
 
-def _theta_columns(pd: PosteriorDraws) -> tuple[np.ndarray, ...]:
-    return tuple(np.ascontiguousarray(pd.draws.T))
+def _distinct_states(pd: PosteriorDraws):
+    """(theta, which): the parameter columns of the draws that differ from
+    the row before them, and each draw's index into those columns.
+
+    The sampler lays a held state out as consecutive copies, so comparing
+    neighbours finds every repeat it made.  Values gathered back with
+    ``take(which, axis=1)`` are the per-draw values in the per-draw layout,
+    so means and quantiles over them keep their bits.
+    """
+    d = pd.draws
+    new = np.ones(pd.n_draws, dtype=bool)
+    np.any(d[1:] != d[:-1], axis=1, out=new[1:])
+    return tuple(np.ascontiguousarray(d[new].T)), np.cumsum(new) - 1
 
 
 @dataclass(frozen=True)
@@ -129,18 +143,20 @@ def predictive_cdf(pd: PosteriorDraws, family, x_grid) -> PredictiveCurve:
     """Monte-Carlo posterior-predictive CDF over x_grid.
 
     The grid goes through the family's kernel in blocks of rows, each one
-    (rows x draws) array of at most _CDF_BLOCK_ELEMENTS values (at least
-    one row), so memory is bounded by that budget whatever the grid size.
+    (rows x distinct states) array, gathered to (rows x draws) values, at
+    most _CDF_BLOCK_ELEMENTS of them (at least one row), so memory is
+    bounded by that budget whatever the grid size.
     """
     grid = np.asarray(x_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("x_grid must be a non-empty 1-D vector")
-    theta = tuple(col[None, :] for col in _theta_columns(pd))
+    theta, which = _distinct_states(pd)
+    theta = tuple(col[None, :] for col in theta)
     rows = max(1, _CDF_BLOCK_ELEMENTS // pd.n_draws)
     mean = np.empty(grid.size)
     band = np.empty((2, grid.size))
     for j in range(0, grid.size, rows):
-        values = cdf(family, theta, grid[j:j + rows, None])
+        values = cdf(family, theta, grid[j:j + rows, None]).take(which, axis=1)
         mean[j:j + rows] = values.mean(axis=1)
         # the same values as without the sort; np.quantile partitions, and
         # on well-mixed draws, with few repeated states, partitioning sorted
@@ -160,7 +176,8 @@ def predictive_quantile(pd: PosteriorDraws, family, p: float,
     if not scale_divisor > 0.0:
         raise ValueError(f"scale_divisor must be positive, "
                          f"got {scale_divisor!r}")
-    q = ppf(family, _theta_columns(pd), p)
+    theta, which = _distinct_states(pd)
+    q = ppf(family, theta, p).take(which)
     lo, hi = np.quantile(q, (0.05, 0.95)).tolist()
     return PredictiveQuantile(
         p=p,

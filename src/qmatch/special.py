@@ -14,8 +14,9 @@ parameter draws or uniforms at once.
   accuracy.  Both check their arguments and call one unchecked
   dispatcher, which the fused likelihood kernels call directly with ln
   Gamma(a) taken once per parameter vector.  ``gamma_pq`` runs the same
-  two iterations on arrays, advancing only the elements that have not yet
-  converged.
+  two iterations on arrays.  Converged elements keep their value and ride
+  along, and leave the live set together once at least half of it has
+  converged, so each element gets the bits it would get alone.
 * ``std_normal_ppf`` -- the standard normal inverse CDF on arrays by
   Wichura's algorithm AS241 (PPND16, Applied Statistics 37(3), 1988),
   relative accuracy about 1e-16 down to p = 1e-300.
@@ -174,7 +175,9 @@ def _split(done):
 
 
 def _p_series_array(a, x, lga):
-    # _p_series on 1-D arrays; each element leaves the loop when it converges
+    # _p_series on 1-D arrays.  Converged elements ride along until at
+    # least half the live set has converged, then leave together: the terms
+    # fall, so a converged total keeps its bits, as in _p_series.
     out = np.empty(a.size)
     idx = np.arange(a.size)
     term = 1.0 / a
@@ -185,7 +188,7 @@ def _p_series_array(a, x, lga):
         term *= x / denom
         total += term
         done = term < total * _REL_EPS
-        if done.any():
+        if 2 * np.count_nonzero(done) >= done.size:
             done, keep = _split(done)
             scale = _log_prefactor(a[done], x[done], lga[done])
             out[idx[done]] = np.where(scale < _LOG_UNDERFLOW, 0.0,
@@ -194,24 +197,29 @@ def _p_series_array(a, x, lga):
                 return out
             idx, a, x, lga = idx[keep], a[keep], x[keep], lga[keep]
             term, total, denom = term[keep], total[keep], denom[keep]
+    stuck = ~(term < total * _REL_EPS)
     raise ArithmeticError(f"incomplete gamma series failed to converge: "
-                          f"a={a[0]}, x={x[0]}")
+                          f"a={a[stuck][0]}, x={x[stuck][0]}")
 
 
 def _q_continued_fraction_array(a, x, lga):
-    # _q_continued_fraction on 1-D arrays, same masking as the series
+    # _q_continued_fraction on 1-D arrays.  Each element's value is written
+    # at its first convergence, since h moves on after it; written elements
+    # ride along until they are at least half the live set, then leave
+    # together.
     out = np.zeros(a.size)
     scale = _log_prefactor(a, x, lga)
     live = scale >= _LOG_UNDERFLOW
     idx = np.flatnonzero(live)
+    if not idx.size:
+        return out
     a, x, scale = a[live], x[live], scale[live]
     b = x + 1.0 - a
     c = np.full(a.size, 1.0 / _TINY)
     d = 1.0 / b
     h = d.copy()
+    pending = np.ones(a.size, dtype=bool)
     for n in range(1, _MAX_ITER):
-        if idx.size == 0:
-            return out
         an = -n * (n - a)
         b += 2.0
         d = an * d + b
@@ -221,14 +229,20 @@ def _q_continued_fraction_array(a, x, lga):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        done = np.abs(delta - 1.0) < _REL_EPS
+        done = pending & (np.abs(delta - 1.0) < _REL_EPS)
         if done.any():
-            done, keep = _split(done)
+            done = np.flatnonzero(done)
             out[idx[done]] = np.exp(scale[done]) * h[done]
-            idx, a, x, scale = idx[keep], a[keep], x[keep], scale[keep]
-            b, c, d, h = b[keep], c[keep], d[keep], h[keep]
+            pending[done] = False
+            if 2 * np.count_nonzero(pending) <= idx.size:
+                keep = np.flatnonzero(pending)
+                if not keep.size:
+                    return out
+                idx, a, x, scale = idx[keep], a[keep], x[keep], scale[keep]
+                b, c, d, h = b[keep], c[keep], d[keep], h[keep]
+                pending = np.ones(keep.size, dtype=bool)
     raise ArithmeticError(f"incomplete gamma fraction failed to converge: "
-                          f"a={a[0]}, x={x[0]}")
+                          f"a={a[pending][0]}, x={x[pending][0]}")
 
 
 def gamma_pq(a, x, lga=None):

@@ -678,6 +678,12 @@ class TestSamplePosterior:
         with pytest.raises(ValueError):
             SamplerConfig(samples_per_chain=0)
 
+    @pytest.mark.parametrize("name", ["chains", "warmup", "samples_per_chain"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_count_that_is_not_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a count >= 1"):
+            SamplerConfig(**{name: value})
+
 
 def _gaussian_2d(rho):
     """Plain-float standard bivariate Gaussian log density with correlation

@@ -7,7 +7,7 @@ import pytest
 import scipy.stats
 
 from qmatch import predictive
-from qmatch.distributions import cdf, dist, get_family
+from qmatch.distributions import cdf, dist, get_family, ppf
 from qmatch.inference import (
     PosteriorDraws,
     SamplerConfig,
@@ -85,6 +85,14 @@ def spread_pd(family, n_draws) -> PosteriorDraws:
     """n_draws parameter rows of family, scattered like a posterior."""
     z = np.random.default_rng(7).standard_normal((2, n_draws))
     return draws_pd(np.column_stack(_SPREAD[family](z)))
+
+
+def held_pd(family, n_states) -> PosteriorDraws:
+    """n_states parameter rows of family, each held for 1-5 consecutive
+    draws, as sample_posterior lays out the states a chain rejected from."""
+    counts = np.random.default_rng(3).integers(1, 6, n_states)
+    return draws_pd(np.repeat(spread_pd(family, n_states).draws, counts,
+                              axis=0))
 
 
 def single_draw_pd(theta) -> PosteriorDraws:
@@ -247,6 +255,38 @@ class TestPredictiveQuantile:
         _, pd = el_gamma
         with pytest.raises(ValueError, match="scale_divisor"):
             predictive_quantile(pd, "gamma", 0.5, scale_divisor=divisor)
+
+
+class TestHeldStates:
+    @pytest.mark.parametrize("family", ["gamma", "lognormal", "weibull"])
+    def test_kernels_see_each_state_once_and_outputs_keep_their_bytes(
+            self, family, monkeypatch):
+        pd = held_pd(family, 1500)
+        widths = []
+
+        def recording(kernel):
+            def call(family, theta, x):
+                widths.append(np.broadcast_shapes(*map(np.shape, theta))[-1])
+                return kernel(family, theta, x)
+            return call
+
+        monkeypatch.setattr(predictive, "cdf", recording(cdf))
+        monkeypatch.setattr(predictive, "ppf", recording(ppf))
+        grid = np.linspace(0.02, 6.0, 201)
+        curve = predictive_cdf(pd, family, grid)
+        ps = (0.01, 0.5, 0.99)
+        got = [predictive_quantile(pd, family, p, 7500.0) for p in ps]
+        monkeypatch.undo()
+        assert pd.n_draws > 4000 and set(widths) == {1500}
+        for values, want in zip((curve.mean, curve.lo, curve.hi),
+                                reference_predictive_cdf(pd, family, grid)):
+            assert values.tobytes() == want.tobytes()
+        theta = tuple(np.ascontiguousarray(pd.draws.T))
+        for p, pq in zip(ps, got):
+            q = ppf(family, theta, p)
+            lo, hi = np.quantile(q, (0.05, 0.95)).tolist()
+            assert (pq.value, pq.lo, pq.hi) == (float(q.mean()) * 7500.0,
+                                                lo * 7500.0, hi * 7500.0)
 
 
 class TestScoreModel:

@@ -48,6 +48,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(d=dist("normal", 0, 1), **kwargs)
 
+    @pytest.mark.parametrize("name", ["n_total", "reps"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_count_that_is_not_finite(self, name, value):
+        counts = dict(n_total=20, reps=2) | {name: value}
+        with pytest.raises(ValueError, match=f"{name} must be a count >= 1"):
+            SimConfig(d=dist("normal", 0, 1), q=(0.5,), **counts)
+
     def test_accepts_numpy_integers(self):
         cfg = SimConfig(d=dist("normal", 0, 1), n_total=np.int64(20),
                         q=(0.5,), reps=np.int64(2))
@@ -239,6 +246,12 @@ class TestOsMarginalOracle:
             os_marginal_oracle(d, 20.9, 3, reps=4)
         with pytest.raises(ValueError, match="reps must be a count >= 1"):
             os_marginal_oracle(d, 20, 3, reps=4.7)
+        for v in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError,
+                               match="n_total must be a count >= 1"):
+                os_marginal_oracle(d, v, 3, reps=4)
+            with pytest.raises(ValueError, match="reps must be a count >= 1"):
+                os_marginal_oracle(d, 20, 3, reps=v)
 
     def test_accepts_numpy_integers(self):
         d = dist("normal", 0, 1)

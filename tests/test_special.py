@@ -118,6 +118,37 @@ class TestIncompleteGamma:
         assert gamma_pq(2.0, 1.0)[0].shape == ()
         assert gamma_pq(np.empty(0), 1.0)[0].shape == (0,)
 
+    def test_each_value_is_independent_of_the_others(self):
+        # the array loops retire converged elements in batches that depend
+        # on the whole call; no element's bits may depend on them
+        rng = np.random.default_rng(8)
+        a = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 300))
+        x = a * np.exp(rng.uniform(-4.0, 4.0, 300))
+        # underflow cut-off on each branch and either side of it, then the
+        # edges x = 0 and x = inf
+        a = np.append(a, [1e3, 1e6, 1e6, 2.0, 2.0, 3.0, 0.5, 7.0, 7.0])
+        x = np.append(x, [1e-300, 1.0, 9.9e5, 745.0, 760.0, 0.0, 0.0,
+                          math.inf, math.inf])
+        p, q = gamma_pq(a, x)
+        series = x < a + 1.0
+        assert 50 < np.count_nonzero(series[:300]) < 250
+        assert p[300] == p[301] == q[304] == 0.0
+        assert 0.0 < p[302] < 1.0 and 0.0 < q[303] < 1.0
+        order = rng.permutation(a.size)
+        got_p, got_q = gamma_pq(a[order], x[order])
+        assert got_p.tobytes() == p[order].tobytes()
+        assert got_q.tobytes() == q[order].tobytes()
+        for i in range(a.size):
+            one_p, one_q = gamma_pq(a[i:i + 1], x[i:i + 1])
+            assert one_p.tobytes() == p[i:i + 1].tobytes()
+            assert one_q.tobytes() == q[i:i + 1].tobytes()
+
+    def test_array_loops_take_empty_input(self):
+        empty = np.empty(0)
+        for loop in (special._p_series_array,
+                     special._q_continued_fraction_array):
+            assert loop(empty, empty, empty).shape == (0,)
+
     def test_log_gamma_runs_before_broadcasting(self, monkeypatch):
         # a as a (1, D) row against x as a (B, 1) column: ln Gamma runs on
         # the D values of a, and P, Q equal the call on broadcast arrays
@@ -280,6 +311,21 @@ class TestGammaInverse:
                                                  regularized=True))
             - mpmath.log(mpmath.mpf(1e-300)), 700.0))
         assert rel_err(t, want) < 1e-12
+
+    def test_each_root_is_independent_of_the_others(self):
+        rng = np.random.default_rng(9)
+        a = np.exp(rng.uniform(math.log(0.05), math.log(500.0), 200))
+        p = np.concatenate([rng.uniform(0.0, 1.0, 150),
+                            10.0 ** rng.uniform(-300.0, -5.0, 50)])
+        upper = np.arange(a.size) % 3 == 0    # solved on the upper tail
+        p, q = np.where(upper, 1.0 - p, p), np.where(upper, p, 1.0 - p)
+        t = gamma_pq_inverse(a, p, q)
+        order = rng.permutation(a.size)
+        assert (gamma_pq_inverse(a[order], p[order], q[order]).tobytes()
+                == t[order].tobytes())
+        for i in range(a.size):
+            one = gamma_pq_inverse(a[i:i + 1], p[i:i + 1], q[i:i + 1])
+            assert one.tobytes() == t[i:i + 1].tobytes()
 
     def test_shapes(self):
         assert gamma_pq_inverse(2.0, 0.3, 0.7).shape == ()
