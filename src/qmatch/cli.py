@@ -35,7 +35,7 @@ from .dataio import (
 )
 from .distributions import FAMILY_NAMES, dist
 from .inference import SamplerConfig, build_model, sample_posterior
-from .orderstats import penalty_curves
+from .orderstats import _seed, penalty_curves
 from .predictive import (
     compare_models,
     make_fit_report,
@@ -64,13 +64,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
+        return _seed("--seed", args.seed)
     env = os.environ.get("QMATCH_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise CliError(f"QMATCH_SEED={env!r} is not an integer")
+        return _seed("QMATCH_SEED", seed)
     return 0
 
 

@@ -43,9 +43,12 @@ point set and the parameters' logs and ln Gamma once per theta, and shares
 z, x / scale, its log and the Weibull/Frechet t between a point's CDF and
 log-density; a handful of points per call is too few for numpy's per-call
 overhead to pay.  It is the only per-point kernel: ``Dist.cdf`` and
-``Dist.log_pdf`` call it on their one point, both plain-float likelihoods
-and ``penalty_curves`` on all of theirs.  Because ln Gamma comes before the
-first point, a gamma or inv_gamma shape above about 2.5e305, or a
+``Dist.log_pdf`` call it on their one point, the plain-float likelihood
+(``orderstats.compile_loglik``) on all of its.  One theta over a grid of
+points, as in ``orderstats.penalty_curves``, goes to the array kernels
+instead.  ``_edge_power`` gives the power law F ~ C x^s at x = 0 of the
+families whose density can diverge there.  Because ln Gamma comes before
+the first point, a gamma or inv_gamma shape above about 2.5e305, or a
 chi_square df above about 5e305 or of 5e-324 (which halves to 0), raises
 ``OverflowError`` or ``ValueError`` at every x, x <= 0 included.  Such
 parameters raise at every x > 0 in any case, and the sampler's exp(700)
@@ -382,6 +385,15 @@ def _edge_log_pdf_array(shape, log_scale, x):
     edge = np.where(shape > 1.0, -_INF,
                     np.where(shape == 1.0, -log_scale, _INF))
     return np.where(x < 0.0, -_INF, edge)
+
+
+def _edge_power(name: str, theta):
+    """(s, ln C) with F(x) ~ C x^s as x -> 0, for the families whose density
+    can diverge there: (x / scale)^shape, over Gamma(shape + 1) for gamma
+    and chi_square."""
+    s, scale = _chi_square_as_gamma(theta) if name == "chi_square" else theta
+    log_c = -s * math.log(scale)
+    return s, log_c if name == "weibull" else log_c - math.lgamma(s + 1.0)
 
 
 def _capped_exp(lt):

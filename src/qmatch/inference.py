@@ -20,11 +20,12 @@ Priors are Gaussians on the *constrained* parameters (broad by default:
 mean 0, sd 100), so the Jacobian term enters only through the bijection.
 
 ``_log_density(model)`` compiles the model once per fit into a closure
-from eta (plain floats) to the log-posterior and the log-likelihood, the
-likelihood being ``orderstats``'.  ``log_posterior``, ``map_estimate``,
-the start and the warmup evaluate it, one call per step.
+from eta (plain floats) to the log-posterior, through the plain-float
+``orderstats.compile_loglik``.  ``log_posterior``, ``map_estimate``, the
+start and the warmup evaluate it, one call per step.
 ``_log_density_rows(model)`` is the same density over the rows of an
-array, through ``_bijection`` and ``orderstats.compile_loglik_rows``.  A
+array, through ``_bijection`` and ``orderstats.compile_loglik_rows``,
+and gives each row's log-likelihood beside it.  A
 chain draws its random numbers up front and builds its sampling
 proposals in numpy; since they do not depend on its state, one array
 call scores them all and the accept/reject pass is a scan over plain
@@ -49,7 +50,8 @@ from .distributions import _HALF_LOG_TWO_PI, FamilySpec, get_family
 from . import orderstats
 from .optimize import nelder_mead
 from .orderstats import (LIKELIHOOD_KINDS, QuantileObservation, _check_kind,
-                         _count, compile_loglik, compile_loglik_rows)
+                         _count, _seed, _sigma_noise, compile_loglik,
+                         compile_loglik_rows)
 from .special import _elementwise
 
 __all__ = [
@@ -122,10 +124,8 @@ class ModelSpec:
             raise ValueError(
                 f"prior has {len(self.prior.means)} components but family "
                 f"{self.family.name!r} has {self.family.arity} parameters")
-        object.__setattr__(self, "sigma_noise", float(self.sigma_noise))
-        if not self.sigma_noise > 0.0:
-            raise ValueError(f"sigma_noise must be positive, "
-                             f"got {self.sigma_noise!r}")
+        object.__setattr__(self, "sigma_noise",
+                           _sigma_noise(self.sigma_noise))
 
 
 def build_model(family, obs: QuantileObservation,
@@ -159,6 +159,7 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         for name in ("chains", "warmup", "samples_per_chain"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _seed("seed", self.seed))
 
 
 @dataclass(frozen=True)
@@ -226,16 +227,16 @@ def to_constrained(family: FamilySpec, eta) -> tuple[np.ndarray, float]:
 
 
 def _log_density(model: ModelSpec, jacobian: bool = True):
-    """Compile the model to log_density(eta) -> (log_post, log_lik).
+    """Compile the model to log_density(eta) -> log_post.
 
     eta is a sequence of finite plain floats in sampling space.  log_post
     is the unnormalized log-posterior: log-likelihood plus log-prior at
     theta = to_constrained(eta), plus the bijection Jacobian when
     `jacobian` is set (the MCMC target) and without it otherwise (the
     theta-space density that optimization targets).  It is -inf, and
-    nothing raises, wherever the density vanishes.  log_lik is the
-    model's log-likelihood at theta, -inf where the prior vanishes.
-    ``_log_density_rows`` is the same density over rows of an array.
+    nothing raises, wherever the density vanishes.  ``_log_density_rows``
+    is the same density over rows of an array, with the log-likelihood of
+    each row beside it.
     """
     loglik = compile_loglik(model.family, model.obs, model.likelihood_kind,
                             model.sigma_noise)
@@ -253,28 +254,26 @@ def _log_density(model: ModelSpec, jacobian: bool = True):
                 log_jac += e
                 e = exp(e)
             if (e == 0.0 and pos) or not isfinite(e):
-                return -inf, -inf   # underflowed or overflowed parameter
+                return -inf         # underflowed or overflowed parameter
             z = (e - m) / s
             total += -0.5 * z * z - log_s - _HALF_LOG_TWO_PI
             if total == -inf:
-                return -inf, -inf
+                return -inf
             theta.append(e)
-        ll = loglik(theta)
-        if ll == -inf:
-            return -inf, ll
-        total += ll
-        return (total + log_jac if jacobian else total), ll
+        total += loglik(theta)
+        return total + log_jac if jacobian else total
 
     return log_density
 
 
 def _log_density_rows(model: ModelSpec):
     """Compile the model to log_density(etas) -> (log_post, log_lik), each
-    an (n,) array over the rows of the (n, arity) array etas: what
-    ``_log_density(model)`` gives at each row, to rounding, from one array
-    call of the likelihood.  A row whose parameter underflows or overflows
-    gets -inf in both, as does a row where the prior vanishes; neither
-    reaches the likelihood."""
+    an (n,) array over the rows of the (n, arity) array etas: log_post is
+    what ``_log_density(model)`` gives at each row, to rounding, and
+    log_lik the model's log-likelihood there, from one array call of the
+    likelihood.  A row whose parameter underflows or overflows gets -inf
+    in both, as does a row where the prior vanishes; neither reaches the
+    likelihood."""
     family = model.family
     loglik = compile_loglik_rows(family, model.obs, model.likelihood_kind,
                                  model.sigma_noise)
@@ -307,7 +306,7 @@ def log_posterior(model: ModelSpec, eta) -> float:
     if eta.shape != (model.family.arity,):
         raise ValueError(f"family {model.family.name!r} takes "
                          f"{model.family.arity} parameters, got {eta.shape}")
-    return _log_density(model)(eta.tolist())[0]
+    return _log_density(model)(eta.tolist())
 
 
 def _random_start(f, rng: np.random.Generator, center, factor):
@@ -338,7 +337,7 @@ def _find_mode(log_density, arity: int, rngs):
     """Nelder-Mead maximum of log_density from one N(0, 1) start per
     generator: (eta, log density), or (None, -inf) if none is finite."""
     def f(eta):
-        return -log_density(np.asarray(eta, dtype=float).tolist())[0]
+        return -log_density(np.asarray(eta, dtype=float).tolist())
 
     best_eta, best_val = None, math.inf
     for rng in rngs:
@@ -362,7 +361,7 @@ def _start(log_density, arity: int, cfg: SamplerConfig):
         h = 1e-4 * np.maximum(1.0, np.abs(mode))
 
         def lp(eta):
-            return log_density(eta.tolist())[0]
+            return log_density(eta.tolist())
 
         hess = np.array([[lp(mode + a + b) - lp(mode + a - b)
                           - lp(mode - a + b) + lp(mode - a - b)
@@ -423,7 +422,7 @@ def _run_chain(log_density, log_density_rows, cfg: SamplerConfig,
     arity = len(center)
     rng = np.random.default_rng([cfg.seed, chain])
     ties = orderstats.tie_events
-    eta, lp = _random_start(lambda e: log_density(e)[0], rng, center, factor)
+    eta, lp = _random_start(log_density, rng, center, factor)
     if lp is None:
         raise _no_start(f"failed to find a finite starting point in 100 "
                         f"tries; last eta = {np.asarray(eta)}", 100, ties)
@@ -449,7 +448,7 @@ def _run_chain(log_density, log_density_rows, cfg: SamplerConfig,
                               map(np.ndarray.tolist, z[a:b] @ factor.T),
                               log_u[a:b].tolist()):
             prop = [e + step * d for e, d in zip(eta, inc)]
-            lp_prop, _ = log_density(prop)
+            lp_prop = log_density(prop)
             accept = lp_prop - lp >= lu
             if accept:
                 eta, lp = prop, lp_prop
@@ -535,6 +534,7 @@ def map_estimate(model: ModelSpec, restarts: int = 1,
     """
     if int(restarts) < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts!r}")
+    seed = _seed("seed", seed)
     ties = orderstats.tie_events
     best_eta, best_val = _find_mode(
         _log_density(model, jacobian=False), model.family.arity,

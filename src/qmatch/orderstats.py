@@ -28,8 +28,9 @@ order-statistics form calls the family's array CDF and array
 log-density, its Gaussian-noise form the array CDF alone.  A
 Gaussian-noise fit gets the order-statistics likelihood of the states
 its chains entered from one more array call after they end.
-``penalty_curves`` renders both as normalized one-point likelihood curves for comparing their
-tail behavior, from one fused-kernel call over its whole grid.
+``penalty_curves`` renders both as normalized one-point likelihood
+curves for comparing their tail behavior, from one call each of the
+family's array CDF and array log-density over its whole grid.
 
 Numerical conventions
 ---------------------
@@ -57,7 +58,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import (_CDF_ARRAY, _HALF_LOG_TWO_PI, _LOG_PDF_ARRAY,
-                            _TERMS, Dist, FamilySpec, _chi_square_as_gamma)
+                            _TERMS, Dist, FamilySpec, _edge_power)
 from .special import log_gamma
 
 __all__ = [
@@ -92,13 +93,36 @@ def reset_tie_events() -> None:
     tie_events = 0
 
 
-def _count(name: str, value) -> int:
-    """value as an int, if it is a whole number >= 1 (numpy integers too):
-    the rule for every sample size, replicate and chain count."""
+def _count(name: str, value, least: int = 1) -> int:
+    """value as an int, if it is a whole number >= least (numpy integers
+    too): the rule for every sample size, replicate and chain count."""
     # compared before int(), which raises its own error on inf and NaN
-    if not 1 <= value < math.inf or int(value) != value:
-        raise ValueError(f"{name} must be a count >= 1, got {value!r}")
+    if not least <= value < math.inf or int(value) != value:
+        kind = "a count" if least else "an integer"
+        raise ValueError(f"{name} must be {kind} >= {least}, got {value!r}")
     return int(value)
+
+
+def _seed(name: str, value) -> int:
+    """value as an int, if it is an integer >= 0: the rule for every seed."""
+    return _count(name, value, least=0)
+
+
+def _check_levels(q: tuple[float, ...]) -> None:
+    """Quantile levels must lie in (0, 1) and strictly increase."""
+    for v in q:
+        if not 0.0 < v < 1.0:
+            raise ValueError(f"quantile levels must lie in (0, 1), got {v!r}")
+    if any(b <= a for a, b in zip(q, q[1:])):
+        raise ValueError(f"quantile levels must be strictly increasing: {q}")
+
+
+def _sigma_noise(value) -> float:
+    """value as a float, if it is a positive Gaussian-noise scale."""
+    value = float(value)
+    if not value > 0.0:
+        raise ValueError(f"sigma_noise must be positive, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -126,11 +150,7 @@ class QuantileObservation:
         if len(q) == 0 or len(q) != len(x):
             raise ValueError(f"q and x must be equal-length, non-empty "
                              f"(got {len(q)} and {len(x)})")
-        for v in q:
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"quantile levels must lie in (0, 1), got {v!r}")
-        if any(b <= a for a, b in zip(q, q[1:])):
-            raise ValueError(f"quantile levels must be strictly increasing: {q}")
+        _check_levels(q)
         for v in x:
             if not math.isfinite(v):
                 raise ValueError(f"x values must be finite, got {v!r}")
@@ -216,9 +236,7 @@ def _os_constants(obs: QuantileObservation):
 
 def _noise_constants(sigma_noise: float):
     # the log-normalizer of one Gaussian-noise term and 1 / (2 sigma^2)
-    sigma_noise = float(sigma_noise)
-    if not sigma_noise > 0.0:
-        raise ValueError(f"sigma_noise must be positive, got {sigma_noise!r}")
+    sigma_noise = _sigma_noise(sigma_noise)
     return (-_HALF_LOG_TWO_PI - math.log(sigma_noise),
             0.5 / (sigma_noise * sigma_noise))
 
@@ -355,13 +373,12 @@ def penalty_curves(d: Dist, q: float, n: float, x_grid,
     Where f diverges at x = 0 and F ~ C x^s, os is its limit C^k s x^{sk-1}
     there (k = qN): 0, C^k s, or for sk < 1 +inf, leaving 1 there, 0 elsewhere.
     """
-    q, n, sigma_noise = float(q), float(n), float(sigma_noise)
+    q, n = float(q), float(n)
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q!r}")
     if not n >= 1.0:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    if not sigma_noise > 0.0:
-        raise ValueError(f"sigma_noise must be positive, got {sigma_noise!r}")
+    sigma_noise = _sigma_noise(sigma_noise)
     grid = np.asarray(x_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("x_grid must be a non-empty 1-D vector")
@@ -370,22 +387,19 @@ def penalty_curves(d: Dist, q: float, n: float, x_grid,
     if np.any(np.diff(grid) < 0):
         raise ValueError("x_grid must be sorted ascending")
     k = q * n
-    e_lo = k - 1.0
-    e_hi = n - k
-    lo, hi, log = _CDF_CLAMP, _CDF_CLAMP_HI, math.log
-    cdfs, log_fs = _TERMS[d.spec.name](grid.tolist())(d.theta)
-    u = [lo if v < lo else hi if v > hi else v for v in cdfs]
-    # the clamp keeps u and 1 - u positive; a zero exponent adds nothing
-    log_os = np.array([(e_lo * log(v) if e_lo else 0.0)
-                       + (e_hi * log(1.0 - v) if e_hi else 0.0) + lf
-                       for v, lf in zip(u, log_fs)])
+    theta = tuple(np.asarray(d.theta))     # the array kernels take numpy
+    with np.errstate(all="ignore"):
+        u = np.clip(_CDF_ARRAY[d.spec.name](theta, grid), _CDF_CLAMP,
+                    _CDF_CLAMP_HI)      # NaN passes
+        # the clamp keeps u and 1 - u positive, so a zero exponent adds 0
+        log_os = ((k - 1.0) * np.log(u) + (n - k) * np.log(1.0 - u)
+                  + _LOG_PDF_ARRAY[d.spec.name](theta, grid))
     if log_os.max() == _INF:    # f diverges at x = 0: F ~ C x^s there, so
-        s, scale = d.theta if d.spec.arity == 2 else _chi_square_as_gamma(d.theta)
-        e = s * k - 1.0         # F^{k-1} f ~ C^k s x^e, where C scale^s is
+        s, log_c = _edge_power(d.spec.name, d.theta)
+        e = s * k - 1.0         # F^{k-1} f ~ C^k s x^e
         log_os[log_os == _INF] = -_INF if e > 0.0 else _INF if e < 0.0 else (
-            math.log(s / scale)     # 1 (weibull) or 1 / Gamma(s + 1)
-            - (0.0 if d.spec.name == "weibull" else k * math.lgamma(s + 1.0)))
-    gn_resid = (np.array(u) - q) ** 2
+            k * log_c + math.log(s))
+    gn_resid = (u - q) ** 2
     m = log_os.max()
     os_curve = (np.exp(log_os - m) if math.isfinite(m)
                 else np.where(log_os == _INF, 1.0, 0.0))

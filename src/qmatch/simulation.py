@@ -16,13 +16,12 @@ CDF is monotone.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import Dist, ppf
-from .orderstats import QuantileObservation, _count
+from .orderstats import QuantileObservation, _check_levels, _count, _seed
 
 __all__ = [
     "SimConfig",
@@ -50,14 +49,10 @@ class SimConfig:
         object.__setattr__(self, "n_total", _count("n_total", self.n_total))
         object.__setattr__(self, "q", tuple(float(v) for v in self.q))
         object.__setattr__(self, "reps", _count("reps", self.reps))
+        object.__setattr__(self, "seed", _seed("seed", self.seed))
         if len(self.q) == 0:
             raise ValueError("q must be non-empty")
-        for v in self.q:
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"quantile levels must lie in (0, 1), got {v!r}")
-        if any(b <= a for a, b in zip(self.q, self.q[1:])):
-            raise ValueError(f"quantile levels must be strictly increasing: "
-                             f"{self.q}")
+        _check_levels(self.q)
 
 
 def _interp_at_rank(sorted_x: np.ndarray, rank: float) -> float:
@@ -101,9 +96,7 @@ def _pcg64_states(seed: int, reps: int):
     building a SeedSequence and a generator per row took most of the
     oracle's time.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
+    seed = _seed("seed", seed)
     words = [seed >> b & _M32 for b in range(0, seed.bit_length() or 1, 32)]
     for start in range(0, reps, _CHUNK):
         i = np.arange(start, min(start + _CHUNK, reps), dtype=np.uint32)

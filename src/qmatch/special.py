@@ -1,22 +1,24 @@
 """Special functions backing the distribution families.
 
-Scalar functions serve the likelihood, which evaluates a handful of points
-per call; array functions serve the posterior-predictive queries and the
-sort-and-pick oracles, which evaluate one family over thousands of
-parameter draws or uniforms at once.
+Plain-float functions serve the fused per-point kernels, which the
+sampler's sequential steps call on a handful of points; array functions
+serve everything else, such as the sampling phase, the
+posterior-predictive queries and the sort-and-pick oracles, which
+evaluate one family over thousands of parameter draws or uniforms at
+once.
 
 * ``log_gamma`` -- a validated wrapper over the C library's ``lgamma`` as
   exposed by ``math``, so values may differ across platforms in the last
   bits.
-* ``gamma_p`` / ``gamma_q`` -- regularized incomplete gamma via the power
-  series for x < a + 1 and the Lentz-evaluated continued fraction otherwise
-  (Abramowitz & Stegun 6.5.29 / 6.5.31), so both tails keep full relative
-  accuracy.  Both check their arguments and call one unchecked
-  dispatcher, which the fused likelihood kernels call directly with ln
-  Gamma(a) taken once per parameter vector.  ``gamma_pq`` runs the same
-  two iterations on arrays.  Converged elements keep their value and ride
-  along, and leave the live set together once at least half of it has
-  converged, so each element gets the bits it would get alone.
+* ``gamma_pq`` -- the regularized incomplete gammas P(a, x) and Q(a, x) on
+  arrays, via the power series for x < a + 1 and the Lentz-evaluated
+  continued fraction otherwise (Abramowitz & Stegun 6.5.29 / 6.5.31), so
+  both tails keep full relative accuracy.  Converged elements keep their
+  value and ride along, and leave the live set together once at least
+  half of it has converged, so each element gets the bits it would get
+  alone.  ``_incomplete_gamma`` runs the same two iterations on plain
+  floats for the fused per-point kernels, which pass ln Gamma(a) taken
+  once per parameter vector.
 * ``std_normal_ppf`` -- the standard normal inverse CDF on arrays by
   Wichura's algorithm AS241 (PPND16, Applied Statistics 37(3), 1988),
   relative accuracy about 1e-16 down to p = 1e-300.
@@ -35,8 +37,6 @@ import numpy as np
 
 __all__ = [
     "log_gamma",
-    "gamma_p",
-    "gamma_q",
     "gamma_pq",
     "gamma_pq_inverse",
     "std_normal_ppf",
@@ -68,11 +68,11 @@ def log_gamma(z: float) -> float:
     return math.lgamma(z)
 
 
-def _p_series(a: float, x: float, lga) -> float:
+def _p_series(a: float, x: float, lga: float) -> float:
     # P(a,x) = x^a e^{-x} / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n)).
     # All terms positive, falling for x < a + 1, so testing every 4th keeps
     # the bits: after one below total * 1e-17 each is below half an ulp of
-    # total.  lga is ln Gamma(a), or None to take it once converged.
+    # total.  lga is ln Gamma(a).
     term = 1.0 / a
     total = term
     denom = a
@@ -86,8 +86,6 @@ def _p_series(a: float, x: float, lga) -> float:
         term *= x / (denom := denom + 1.0)
         total += term
         if term < total * _REL_EPS:
-            if lga is None:
-                lga = math.lgamma(a)
             scale = a * math.log(x) - x - lga
             if scale < _LOG_UNDERFLOW:
                 return 0.0
@@ -122,11 +120,10 @@ def _q_continued_fraction(a: float, x: float, lga: float) -> float:
     raise ArithmeticError(f"incomplete gamma fraction failed to converge: a={a}, x={x}")
 
 
-def _incomplete_gamma(a: float, x: float, upper: bool, lga=None) -> float:
+def _incomplete_gamma(a: float, x: float, upper: bool, lga: float) -> float:
     # P(a, x), or Q(a, x) when `upper`, for a > 0 and x >= 0, unchecked:
     # the series below a + 1 and the fraction above, each giving its own
-    # tail directly and the other as one minus it.  lga is ln Gamma(a), or
-    # None to take it where the series or the fraction first needs it.
+    # tail directly and the other as one minus it.  lga is ln Gamma(a).
     if x == 0.0:
         return 1.0 if upper else 0.0
     if math.isinf(x):
@@ -134,31 +131,8 @@ def _incomplete_gamma(a: float, x: float, upper: bool, lga=None) -> float:
     if x < a + 1.0:
         v = _p_series(a, x, lga)
         return 1.0 - v if upper else v
-    v = _q_continued_fraction(a, x, math.lgamma(a) if lga is None else lga)
+    v = _q_continued_fraction(a, x, lga)
     return v if upper else 1.0 - v
-
-
-def _check_incomplete_gamma(name: str, a: float, x: float) -> None:
-    if not a > 0.0:
-        raise ValueError(f"{name} requires a > 0, got {a!r}")
-    if not x >= 0.0:
-        raise ValueError(f"{name} requires x >= 0, got {x!r}")
-
-
-def gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
-
-    Requires a > 0 and x >= 0.  Series branch for x < a + 1, continued
-    fraction otherwise, so both tails keep full relative accuracy.
-    """
-    _check_incomplete_gamma("gamma_p", a, x)
-    return _incomplete_gamma(a, x, False)
-
-
-def gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    _check_incomplete_gamma("gamma_q", a, x)
-    return _incomplete_gamma(a, x, True)
 
 
 def _log_prefactor(a, x, lga):
@@ -248,9 +222,10 @@ def _q_continued_fraction_array(a, x, lga):
 def gamma_pq(a, x, lga=None):
     """(P(a, x), Q(a, x)) elementwise for arrays a > 0 and x >= 0.
 
-    a and x broadcast against each other.  Each element takes the branch
-    gamma_p and gamma_q take, and the other value is one minus it, so
-    P and Q keep full relative accuracy in their own tails.  ``lga`` is
+    a and x broadcast against each other.  Each element takes the series
+    for x < a + 1 and the continued fraction otherwise, and the other value
+    is one minus it, so P and Q keep full relative accuracy in their own
+    tails.  ``lga`` is
     ln Gamma(a), for callers that evaluate the same a repeatedly.  Without
     it, ln Gamma is computed on a as passed, before a is broadcast against
     x: a of shape (1, n) against x of shape (m, 1) costs n evaluations,

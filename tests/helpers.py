@@ -114,7 +114,7 @@ def exit_worker(*args, **kwargs):
 def reference_p_series(a, x, lga):
     """The incomplete gamma series P(a, x) for x < a + 1, testing
     convergence after every term: ``special._p_series`` tests after every
-    4th and must give the same bits.  lga is ln Gamma(a) or None."""
+    4th and must give the same bits.  lga is ln Gamma(a)."""
     term = 1.0 / a
     total = term
     denom = a
@@ -123,8 +123,6 @@ def reference_p_series(a, x, lga):
         term *= x / denom
         total += term
         if term < total * 1.0e-17:
-            if lga is None:
-                lga = math.lgamma(a)
             scale = a * math.log(x) - x - lga
             if scale < -745.0:
                 return 0.0
@@ -267,23 +265,36 @@ _EDGE = {"weibull": lambda k, lam: (k, lam ** -k),
                                    / math.gamma(nu / 2.0 + 1.0))}
 
 
+def _np_pow_term(e, v):
+    """e ln v with numpy's log, 0 for e = 0, for v > 0."""
+    return float(e * np.log(np.float64(v))) if e != 0.0 else 0.0
+
+
 def reference_penalty_curves(d, q, n, grid, sigma_noise):
-    """penalty_curves one grid point at a time, from ``Dist.cdf`` and
-    ``Dist.log_pdf``: (os_curve, gn_curve), each max-normalized.  Where the
-    density is +inf (x = 0), the os term is its limit C^k s x^{sk-1}; an os
-    curve that is +inf somewhere is 1 there and 0 elsewhere."""
+    """penalty_curves one grid point at a time, from the family's array CDF
+    and array log-density on that point alone, with numpy's log as
+    ``penalty_curves`` takes it: (os_curve, gn_curve), each max-normalized.
+    Where the density is +inf (x = 0), the os term is its limit
+    C^k s x^{sk-1}; an os curve that is +inf somewhere is 1 there and 0
+    elsewhere."""
+    from qmatch.distributions import _CDF_ARRAY, _LOG_PDF_ARRAY
+
+    cdf, log_pdf = _CDF_ARRAY[d.spec.name], _LOG_PDF_ARRAY[d.spec.name]
+    theta = tuple(np.asarray(d.theta))
     k = q * n
     log_os, resid = [], []
     for x in grid:
-        u = min(max(d.cdf(x), _CDF_CLAMP), _CDF_CLAMP_HI)
-        lf = d.log_pdf(x)
+        with np.errstate(all="ignore"):
+            u = min(max(float(cdf(theta, np.array([x]))[0]), _CDF_CLAMP),
+                    _CDF_CLAMP_HI)
+            lf = float(log_pdf(theta, np.array([x]))[0])
         if lf == math.inf:
             s, c = _EDGE[d.spec.name](*d.theta)
             log_os.append(math.log(c ** k * s) if s * k == 1.0
                           else math.inf if s * k < 1.0 else -math.inf)
         else:
-            log_os.append(_pow_term(k - 1.0, u) + _pow_term(n - k, 1.0 - u)
-                          + lf)
+            log_os.append(_np_pow_term(k - 1.0, u)
+                          + _np_pow_term(n - k, 1.0 - u) + lf)
         resid.append((u - q) * (u - q))
     log_os, resid = np.array(log_os), np.array(resid)
     m = log_os.max()

@@ -1175,6 +1175,25 @@ class TestDeterminism:
         _, explicit, _ = run_cli(args + ["--seed", "0"], capsys)
         assert default == explicit
 
+    @pytest.mark.parametrize("command", [
+        ["fit", None, "--family", "normal"] + TINY,
+        ["simulate", "--dist", "normal", "--params", "0,1", "--n", "60"],
+        ["curves", "--mode", "ensemble", "--dist", "normal", "--params",
+         "0,1", "--n", "20"]])
+    def test_negative_seed_is_named_input_error(self, command, el_csv,
+                                                capsys, monkeypatch):
+        # named at the flag or the variable that gave it, for each command
+        # that seeds a generator
+        command = [el_csv if v is None else v for v in command]
+        monkeypatch.delenv("QMATCH_SEED", raising=False)
+        code, out, err = run_cli(command + ["--seed", "-1"], capsys)
+        assert (code, out) == (1, "")
+        assert "--seed must be an integer >= 0, got -1" in err
+        monkeypatch.setenv("QMATCH_SEED", "-1")
+        code, out, err = run_cli(command, capsys)
+        assert (code, out) == (1, "")
+        assert "QMATCH_SEED must be an integer >= 0, got -1" in err
+
     def test_bad_env_seed_is_input_error(self, capsys, monkeypatch):
         monkeypatch.setenv("QMATCH_SEED", "many")
         code, _, err = run_cli(

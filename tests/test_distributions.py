@@ -418,3 +418,36 @@ class TestChiSquareIsGamma:
                 calls += [lambda x=x: chi.cdf(x), lambda x=x: chi.log_pdf(x),
                           lambda x=x: _TERMS["gamma"]((x,))((0.5 * df, 2.0))]
             assert [_outcome(f) for f in calls] == [error] * len(calls)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_grids_and_draws_never_reach_the_per_point_kernel(name, monkeypatch):
+    # the fused per-point kernels serve single points and the plain-float
+    # likelihood only: a grid, a set of draws or a batch of uniforms goes
+    # to the array kernels
+    from qmatch.distributions import _TERMS
+    from qmatch.inference import PosteriorDraws
+    from qmatch.orderstats import penalty_curves
+    from qmatch.predictive import predictive_cdf, predictive_quantile
+
+    def refuse(xs):
+        raise AssertionError("per-point kernel called")
+
+    for family in FAMILY_NAMES:
+        monkeypatch.setitem(_TERMS, family, refuse)
+    d = dist(name, *EDGE_THETAS[name][0])
+    grid = np.linspace(-0.5, 4.0, 41)
+    for os_curve, gn_curve in (penalty_curves(d, 0.25, 100.0, grid),
+                               penalty_curves(d, 0.001, 1000.0, grid)):
+        assert os_curve.shape == gn_curve.shape == grid.shape
+    draws = np.array(d.theta) * np.linspace(0.9, 1.1, 12)[:, None]
+    pd = PosteriorDraws(draws=draws, chain_id=np.zeros(12, dtype=int),
+                        log_likelihood=np.zeros(12), seed=0, warmup=1,
+                        acceptance_rate=(1.0,))
+    assert predictive_cdf(pd, d.spec, grid).mean.shape == grid.shape
+    assert math.isfinite(predictive_quantile(pd, d.spec, 0.3).value)
+    assert ppf(name, d.theta, [0.1, 0.9]).shape == (2,)
+    assert math.isfinite(d.quantile(0.4))
+    assert d.sample(np.random.default_rng(0), 5).shape == (5,)
+    with pytest.raises(AssertionError, match="per-point kernel called"):
+        d.cdf(1.0)

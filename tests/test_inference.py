@@ -29,8 +29,8 @@ from qmatch.inference import (
     to_constrained,
     to_unconstrained,
 )
-from qmatch.orderstats import (QuantileObservation, compile_loglik_rows,
-                               joint_os_loglik)
+from qmatch.orderstats import (QuantileObservation, compile_loglik,
+                               compile_loglik_rows, joint_os_loglik)
 from qmatch.simulation import SimConfig, simulate_quantile_data
 
 from helpers import (SEEDS, reference_gaussian_noise_loglik,
@@ -264,6 +264,7 @@ class TestCompiledDensity:
                             sigma_noise=0.07)
         target = inference._log_density(model)
         theta_space = inference._log_density(model, jacobian=False)
+        loglik = compile_loglik(model.family, model.obs, kind, 0.07)
         arity = model.family.arity
         rng = np.random.default_rng(23)
         etas = ([tuple(rng.standard_normal(arity) * 2.0) for _ in range(60)]
@@ -283,9 +284,9 @@ class TestCompiledDensity:
             tied = orderstats.tie_events - before
             assert tied in (0, 1)
             ties += tied
-            lp, lp_ll = target(list(eta))
+            lp = target(list(eta))
             assert orderstats.tie_events - before == 2 * tied
-            lp_theta, _ = theta_space(list(eta))
+            lp_theta = theta_space(list(eta))
             assert orderstats.tie_events - before == 3 * tied
             if value == -math.inf:
                 assert lp == lp_theta == -math.inf
@@ -293,7 +294,10 @@ class TestCompiledDensity:
             finite += 1
             assert lp == value + log_jac
             assert lp_theta == value
-            assert lp_ll == ll
+            # the density's likelihood, the compiled closure, is the
+            # reference's to the bit
+            theta, _ = to_constrained(model.family, np.array(eta))
+            assert loglik(theta.tolist()) == ll
             assert log_posterior(model, np.array(eta)) == lp
         assert finite >= 30
         if kind == "order_statistics":
@@ -310,6 +314,7 @@ class TestCompiledDensity:
         model = build_model(name, el_obs(), likelihood_kind=kind,
                             sigma_noise=0.07)
         scalar = inference._log_density(model)
+        loglik = compile_loglik(model.family, model.obs, kind, 0.07)
         arity = model.family.arity
         rng = np.random.default_rng(23)
         etas = ([tuple(rng.standard_normal(arity) * 2.0) for _ in range(60)]
@@ -323,11 +328,15 @@ class TestCompiledDensity:
             except ArithmeticError:     # the incomplete gamma at a = x ~ 1e17
                 failing.append(eta)
         tied = orderstats.tie_events - before
+        # the log-likelihood where the density is finite (no tie there),
+        # and -inf where the density vanishes
+        want_ll = [loglik(to_constrained(model.family, np.array(eta))[0]
+                          .tolist()) if v > -math.inf else -math.inf
+                   for eta, v in zip(rows, want)]
         before = orderstats.tie_events
         lp, ll = inference._log_density_rows(model)(np.array(rows))
         assert orderstats.tie_events - before == tied
-        for got, expected in ((lp, [v[0] for v in want]),
-                              (ll, [v[1] for v in want])):
+        for got, expected in ((lp, want), (ll, want_ll)):
             expected = np.array(expected)
             np.testing.assert_array_equal(np.isneginf(got),
                                           np.isneginf(expected))
@@ -387,10 +396,10 @@ class TestCompiledDensity:
         # would overflow), and a location that ties every CDF at 0
         density = inference._log_density(build_model("normal", el_obs()))
         before = orderstats.tie_events
-        assert density([0.0, -800.0]) == (-math.inf, -math.inf)
-        assert density([0.0, 900.0]) == (-math.inf, -math.inf)
+        assert density([0.0, -800.0]) == -math.inf
+        assert density([0.0, 900.0]) == -math.inf
         assert orderstats.tie_events == before
-        assert density([900.0, 0.0]) == (-math.inf, -math.inf)
+        assert density([900.0, 0.0]) == -math.inf
         assert orderstats.tie_events == before + 1
 
     def test_log_posterior_validates_eta(self):
@@ -485,8 +494,7 @@ class TestSamplePosterior:
 
             def gated(eta):
                 calls["n"] += 1
-                return density(eta) if calls["n"] == 1 else (-math.inf,
-                                                              -math.inf)
+                return density(eta) if calls["n"] == 1 else -math.inf
             return gated
 
         monkeypatch.setattr(inference, "_log_density", gated_builder)
@@ -684,22 +692,32 @@ class TestSamplePosterior:
         with pytest.raises(ValueError, match=f"{name} must be a count >= 1"):
             SamplerConfig(**{name: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, math.inf, math.nan])
+    def test_rejects_a_seed_that_is_not_an_integer_at_least_zero(self, seed):
+        # rejected where it is built, not when the first chain seeds
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            SamplerConfig(seed=seed)
+
+    def test_accepts_numpy_integer_seeds(self):
+        cfg = SamplerConfig(seed=np.int64(7))
+        assert cfg.seed == 7 and type(cfg.seed) is int
+
 
 def _gaussian_2d(rho):
     """Plain-float standard bivariate Gaussian log density with correlation
-    rho, returning (lp, lp) like the compiled model density."""
+    rho, like the compiled model density."""
     def density(eta):
         a, b = eta
-        lp = -0.5 * (a * a - 2.0 * rho * a * b + b * b) / (1.0 - rho * rho)
-        return lp, lp
+        return -0.5 * (a * a - 2.0 * rho * a * b + b * b) / (1.0 - rho * rho)
     return density
 
 
 def _rows(density):
-    """The array form of a plain-float density: each row in turn."""
+    """The array form of a plain-float density: each row in turn, its
+    value standing in for the log-likelihood too."""
     def rows(etas):
-        lp, ll = zip(*map(density, etas.tolist()))
-        return np.array(lp), np.array(ll)
+        lp = np.array(list(map(density, etas.tolist())))
+        return lp, lp
     return rows
 
 
@@ -747,7 +765,7 @@ class TestAdaptiveProposal:
 
         def freezing(eta):
             calls["n"] += 1
-            return target(eta) if calls["n"] <= 60 else (-math.inf, -math.inf)
+            return target(eta) if calls["n"] <= 60 else -math.inf
 
         cfg = SamplerConfig(warmup=400, samples_per_chain=100, seed=3)
         etas, counts, lls, rate = inference._run_chain(
@@ -773,8 +791,7 @@ class TestAdaptiveProposal:
     def test_non_positive_definite_hessian_falls_back(self, monkeypatch):
         # no curvature along eta[1] at the mode: a singular Hessian
         def flat_in_b(eta):
-            lp = -0.5 * eta[0] ** 2 if abs(eta[1]) < 3.0 else -math.inf
-            return lp, lp
+            return -0.5 * eta[0] ** 2 if abs(eta[1]) < 3.0 else -math.inf
 
         starts = []
         real = inference._run_chain
@@ -843,6 +860,13 @@ class TestMapEstimate:
         t1, _ = map_estimate(model, restarts=1)
         t10, _ = map_estimate(model, restarts=10)
         np.testing.assert_allclose(t1, t10, atol=1e-4)
+
+    def test_rejects_a_seed_that_is_not_an_integer_at_least_zero(self):
+        model = build_model("normal", el_obs())
+        for seed in (-1, 0.5):
+            with pytest.raises(ValueError,
+                               match="seed must be an integer >= 0"):
+                map_estimate(model, seed=seed)
 
     def test_errors(self):
         model = build_model("gamma", el_obs())

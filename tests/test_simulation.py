@@ -55,6 +55,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"{name} must be a count >= 1"):
             SimConfig(d=dist("normal", 0, 1), q=(0.5,), **counts)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, math.inf, math.nan])
+    def test_rejects_a_seed_that_is_not_an_integer_at_least_zero(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            SimConfig(d=dist("normal", 0, 1), n_total=20, q=(0.5,),
+                      seed=seed)
+
     def test_accepts_numpy_integers(self):
         cfg = SimConfig(d=dist("normal", 0, 1), n_total=np.int64(20),
                         q=(0.5,), reps=np.int64(2))
@@ -184,7 +190,8 @@ class TestUniformRows:
         assert rows.tobytes() == expected.tobytes()
 
     def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError,
+                           match=r"seed must be an integer >= 0, got -1"):
             _uniform_rows(-1, 3, 4)
 
 

@@ -15,15 +15,24 @@ from helpers import log_beta, reference_p_series
 from qmatch import special
 from qmatch.distributions import _std_normal_cdf_array, cdf, dist
 from qmatch.special import (
-    gamma_p,
     gamma_pq,
     gamma_pq_inverse,
-    gamma_q,
     log_gamma,
     std_normal_ppf,
 )
 
 mpmath.mp.dps = 50
+
+
+def scalar_p(a, x):
+    """P(a, x) from the plain-float incomplete gamma, given ln Gamma(a)
+    as the fused kernels give it."""
+    return special._incomplete_gamma(a, x, False, math.lgamma(a))
+
+
+def scalar_q(a, x):
+    """Q(a, x) from the plain-float incomplete gamma."""
+    return special._incomplete_gamma(a, x, True, math.lgamma(a))
 
 
 def rel_err(got, want):
@@ -80,8 +89,10 @@ class TestIncompleteGamma:
         x = a * xf
         want_p = float(mpmath.gammainc(a, 0, x, regularized=True))
         want_q = float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
-        assert rel_err(gamma_p(a, x), want_p) < 1e-12 or abs(gamma_p(a, x) - want_p) < 1e-15
-        assert rel_err(gamma_q(a, x), want_q) < 1e-12 or abs(gamma_q(a, x) - want_q) < 1e-15
+        got_p, got_q = gamma_pq(a, x)
+        for p, q in ((scalar_p(a, x), scalar_q(a, x)), (got_p, got_q)):
+            assert rel_err(p, want_p) < 1e-12 or abs(p - want_p) < 1e-15
+            assert rel_err(q, want_q) < 1e-12 or abs(q - want_q) < 1e-15
 
     def test_array_matches_mpmath_on_the_same_grid(self):
         # the whole grid of test_against_mpmath in one call, plus deep tails
@@ -108,9 +119,9 @@ class TestIncompleteGamma:
         x[5:10] = math.inf
         p, q = gamma_pq(a, x)
         np.testing.assert_allclose(
-            p, [gamma_p(ai, xi) for ai, xi in zip(a, x)], rtol=0, atol=1e-15)
+            p, [scalar_p(ai, xi) for ai, xi in zip(a, x)], rtol=0, atol=1e-15)
         np.testing.assert_allclose(
-            q, [gamma_q(ai, xi) for ai, xi in zip(a, x)], rtol=0, atol=1e-15)
+            q, [scalar_q(ai, xi) for ai, xi in zip(a, x)], rtol=0, atol=1e-15)
 
     def test_array_broadcasts_and_keeps_shape(self):
         p, q = gamma_pq(np.array([[1.0], [2.0]]), np.array([0.5, 1.0, 3.0]))
@@ -178,7 +189,7 @@ class TestIncompleteGamma:
 
     def test_deep_tails_keep_relative_accuracy(self):
         # the far upper tail must not be computed as 1 - P
-        got = gamma_q(2.0, 200.0)
+        got = scalar_q(2.0, 200.0)
         want = float(mpmath.gammainc(2.0, 200.0, mpmath.inf, regularized=True))
         assert rel_err(got, want) < 1e-12
         assert rel_err(gamma_pq(2.0, 200.0)[1], want) < 1e-12
@@ -186,16 +197,18 @@ class TestIncompleteGamma:
     def test_complementarity(self):
         for a in (0.3, 1.0, 7.7):
             for x in (0.01, 0.9, 2.5, 40.0):
-                assert math.isclose(gamma_p(a, x) + gamma_q(a, x), 1.0, abs_tol=1e-14)
+                assert math.isclose(scalar_p(a, x) + scalar_q(a, x), 1.0,
+                                    abs_tol=1e-14)
+                p, q = gamma_pq(a, x)
+                assert math.isclose(p + q, 1.0, abs_tol=1e-14)
 
     def test_edges(self):
-        assert gamma_p(3.0, 0.0) == 0.0
-        assert gamma_q(3.0, 0.0) == 1.0
-        assert gamma_p(3.0, float("inf")) == 1.0
-        with pytest.raises(ValueError):
-            gamma_p(0.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_q(1.0, -0.5)
+        for p, q in ((scalar_p(3.0, 0.0), scalar_q(3.0, 0.0)),
+                     gamma_pq(3.0, 0.0)):
+            assert p == 0.0 and q == 1.0
+        for p, q in ((scalar_p(3.0, math.inf), scalar_q(3.0, math.inf)),
+                     gamma_pq(3.0, math.inf)):
+            assert p == 1.0 and q == 0.0
 
 
 def test_array_lgamma_and_erfc_keep_each_libm_value_and_the_shape():
@@ -228,22 +241,22 @@ class TestPSeries:
         xs = [below, 0.5 * below, 1e-3 * below, 1e-300, 1e-310, 5e-324]
         for x in xs:
             assert x < a + 1.0
-            for lga in (None, math.lgamma(a)):
-                got = _series_outcome(special._p_series, a, x, lga)
-                assert got == _series_outcome(reference_p_series, a, x, lga)
+            lga = math.lgamma(a)
+            got = _series_outcome(special._p_series, a, x, lga)
+            assert got == _series_outcome(reference_p_series, a, x, lga)
 
     def test_scale_underflow_returns_zero(self):
         for a, x in ((1e3, 1e-300), (50.0, 5e-324), (1e6, 1.0)):
-            assert special._p_series(a, x, None) == 0.0
-            assert reference_p_series(a, x, None) == 0.0
+            lga = math.lgamma(a)
+            assert special._p_series(a, x, lga) == 0.0
+            assert reference_p_series(a, x, lga) == 0.0
 
     def test_nonconvergence_still_raises_after_ten_thousand_terms(self):
-        for lga in (None, math.lgamma(1e15)):
-            with pytest.raises(ArithmeticError,
-                               match="series failed to converge"):
-                special._p_series(1e15, 1e15, lga)
-            assert (_series_outcome(special._p_series, 1e15, 1e15, lga)
-                    == _series_outcome(reference_p_series, 1e15, 1e15, lga))
+        lga = math.lgamma(1e15)
+        with pytest.raises(ArithmeticError, match="series failed to converge"):
+            special._p_series(1e15, 1e15, lga)
+        assert (_series_outcome(special._p_series, 1e15, 1e15, lga)
+                == _series_outcome(reference_p_series, 1e15, 1e15, lga))
 
 
 class TestErf:
