@@ -44,11 +44,13 @@ PRIORS = {
     "normal": PriorSpec((3.0, 1.5), (1.0, 0.3)),
     "gamma": PriorSpec((3.0, 1.0), (0.5, 0.2)),
     "weibull": PriorSpec((2.0, 1.0), (0.3, 0.2)),
+    "cauchy": PriorSpec((3.0, 1.0), (1.0, 0.2)),
 }
 SEEDS = {("normal", "order_statistics"): 4101,
          ("gamma", "order_statistics"): 4102,
          ("weibull", "order_statistics"): 4103,
-         ("normal", "gaussian_noise"): 4104}
+         ("normal", "gaussian_noise"): 4104,
+         ("cauchy", "order_statistics"): 4105}
 
 
 def _prior_draw(family, prior, rng):
@@ -89,7 +91,7 @@ def calibration(family, kind):
     return stats
 
 
-@pytest.mark.parametrize("family", ["normal", "gamma", "weibull"])
+@pytest.mark.parametrize("family", ["normal", "gamma", "weibull", "cauchy"])
 def test_order_statistics_posteriors_are_calibrated(family):
     stats = calibration(family, "order_statistics")
     assert max(stats) < BOUND, stats

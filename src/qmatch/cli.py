@@ -351,7 +351,10 @@ def _add_common_fit_flags(p) -> None:
     p.add_argument("--chains", type=int, default=4)
     p.add_argument("--samples", type=int, default=1000,
                    help="retained draws per chain (default 1000)")
-    p.add_argument("--warmup", type=int, default=1000)
+    p.add_argument("--warmup", type=int, default=1000,
+                   help="warmup proposals per chain (default 1000): "
+                        "random-walk steps, then a batch of a quarter of "
+                        "them")
     p.add_argument("--sigma-noise", type=float, default=0.05,
                    help="noise scale for the gaussian-noise likelihood")
     p.add_argument("--n-total", type=int, default=None,
@@ -423,7 +426,9 @@ def _build_parser() -> _Parser:
                    help="predictive mode: fit report with embedded draws")
     p.add_argument("--reps", type=int, default=None,
                    help="ensemble mode: replications (default 100)")
-    p.add_argument("--x-range", default=None, help="lo:hi grid bounds")
+    p.add_argument("--x-range", default=None,
+                   help="lo:hi grid bounds; write --x-range=LO:HI when LO "
+                        "is negative")
     p.add_argument("--points", type=int, default=None,
                    help="grid size, at least 1 (default 2001 in penalty "
                         "mode, 201 in predictive mode)")

@@ -9,12 +9,16 @@ the Laplace fit's Cholesky factor (else the identity with step
 ``_FALLBACK_STEP``, 0.1), a Robbins-Monro step tunes the acceptance rate
 towards ``_TARGET_ACCEPTANCE`` (0.3), and each quarter the factor becomes
 the Cholesky factor of the ridged covariance of the last half of the
-warmup draws.  Sampling is independence Metropolis (Tierney 1994): each
-chain proposes mu + 1.3 L t, t a Student t with 5 degrees of freedom, mu
-and L L^T the mean and ridged covariance of the last half of its own
-warmup.  The heavy tails and the inflated scale are there to keep pi / q
-bounded, the condition under which an independence sampler is uniformly
-ergodic (Mengersen & Tweedie 1996).
+warmup draws.  The walk takes the first three quarters of warmup.  The
+last quarter is one batch of t proposals at the walk's mean and factor,
+scored in one array call; their self-normalised importance weights give
+the sampling proposal its mean and covariance, one population Monte Carlo
+step (Cappé, Guillin, Marin & Robert 2004).  Sampling is independence
+Metropolis (Tierney 1994): each chain proposes mu + L t, t a Student t
+with 5 degrees of freedom, mu and L L^T that weighted mean and ridged
+covariance.  The t's heavy tails are there to keep pi / q bounded, the
+condition under which an independence sampler is uniformly ergodic
+(Mengersen & Tweedie 1996).
 
 Priors are Gaussians on the *constrained* parameters (broad by default:
 mean 0, sd 100), so the Jacobian term enters only through the bijection.
@@ -22,13 +26,13 @@ mean 0, sd 100), so the Jacobian term enters only through the bijection.
 ``_log_density(model)`` compiles the model once per fit into a closure
 from eta (plain floats) to the log-posterior, through the plain-float
 ``orderstats.compile_loglik``.  ``log_posterior``, ``map_estimate``, the
-start and the warmup evaluate it, one call per step.
+start and the random walk evaluate it, one call per step.
 ``_log_density_rows(model)`` is the same density over the rows of an
 array, through ``_bijection`` and ``orderstats.compile_loglik_rows``,
 and gives each row's log-likelihood beside it.  A
-chain draws its random numbers up front and builds its sampling
-proposals in numpy; since they do not depend on its state, one array
-call scores them all and the accept/reject pass is a scan over plain
+chain draws its random numbers up front and builds its batch and its
+sampling proposals in numpy; since they do not depend on its state, one
+array call scores each set and the accept/reject pass is a scan over plain
 floats.  Each draw carries the order-statistics log-likelihood of its
 state: an order-statistics fit keeps what that array call gave, a
 Gaussian-noise fit computes it for the states a chain entered in one
@@ -75,10 +79,8 @@ __all__ = [
 _ETA_CAP = 700.0
 _TARGET_ACCEPTANCE = 0.3   # the warmup's Robbins-Monro target
 _FALLBACK_STEP = 0.1       # the step of chains started without a Laplace fit
-# the sampling proposal: a t with _T_DOF degrees of freedom, scaled by
-# _T_INFLATION times the Cholesky factor of the warmup covariance
+# the degrees of freedom of the batch's and the sampling phase's t
 _T_DOF = 5.0
-_T_INFLATION = 1.3
 
 
 @dataclass(frozen=True)
@@ -380,13 +382,16 @@ def _unit_factor(chol: np.ndarray) -> tuple[np.ndarray, float]:
     return chol / gm, gm
 
 
-def _moments(states) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and Cholesky factor of the covariance of the last half of
-    `states`, ridged so that a buffer which never moved still factors."""
-    tail = np.array(states[len(states) // 2:])
-    cov = np.atleast_2d(np.cov(tail, rowvar=False, bias=True))
+def _moments(points, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and Cholesky factor of the covariance of the rows of `points`,
+    weighted by `weights` (none: equally), ridged so that equal rows (a
+    walk that never moved, a batch with one finite weight) still factor."""
+    points = np.asarray(points)
+    cov = np.atleast_2d(np.cov(points, rowvar=False, bias=True,
+                               aweights=weights))
     cov += (1e-10 * np.trace(cov) + 1e-24) * np.eye(len(cov))
-    return tail.mean(axis=0), np.linalg.cholesky(cov)
+    return (np.average(points, axis=0, weights=weights),
+            np.linalg.cholesky(cov))
 
 
 def _log_t(etas: np.ndarray, center: np.ndarray, scale: np.ndarray):
@@ -403,16 +408,22 @@ def _run_chain(log_density, log_density_rows, cfg: SamplerConfig,
     """One chain on private RNG stream (seed, chain), started at a draw of
     center + factor @ N(0, I).
 
-    Warmup is random-walk Metropolis proposing step * factor @ N(0, I),
-    the step tuned by Robbins-Monro and the factor refreshed each quarter;
-    each step is one call of the scalar ``log_density``.  Sampling is
-    independence Metropolis from the t proposal mu + 1.3 L t, mu and L L^T
-    being the mean and covariance of the last half of warmup, so every
-    chain learns its own proposal.  Its proposals do not depend on the
-    state, so one call of ``log_density_rows`` scores the state warmup
-    ended in and every proposal, and the accept/reject pass is a scan over
-    plain floats.  A warmup that accepted under 1e-3 of its proposals
-    raises, naming its length, since a short one may not have moved yet.
+    Warmup is cfg.warmup proposals.  The first warmup - warmup // 4 are
+    random-walk Metropolis proposing step * factor @ N(0, I), the step
+    tuned by Robbins-Monro and the factor refreshed at each quarter of
+    warmup; each step is one call of the scalar ``log_density``.  The last
+    warmup // 4 are one batch of t draws mu + L t, mu and L L^T the mean
+    and covariance of the last half of the walk, scored in one call of
+    ``log_density_rows``.  The batch's self-normalised importance weights
+    pi / q give the sampling proposal's mu and L L^T, their weighted mean
+    and covariance (population Monte Carlo); a batch with no finite
+    weight, and the empty batch of a warmup under 4, leaves the walk's.
+    Sampling is independence Metropolis from mu + L t, so every chain
+    learns its own proposal.  Its proposals do not depend on the state,
+    so one call of ``log_density_rows`` scores the state warmup ended in
+    and every proposal, and the accept/reject pass is a scan over plain
+    floats.  A walk that accepted under 1e-3 of its proposals raises,
+    naming its length, since a short one may not have moved yet.
 
     Returns the states the sampling phase entered, in order (one row
     each), how many of the samples_per_chain draws each state holds, the
@@ -428,20 +439,24 @@ def _run_chain(log_density, log_density_rows, cfg: SamplerConfig,
                         f"tries; last eta = {np.asarray(eta)}", 100, ties)
 
     warmup, n = cfg.warmup, cfg.samples_per_chain
+    quarter = warmup // 4
+    walk = warmup - quarter
     z = rng.standard_normal((warmup + n, arity))
-    log_u = np.log(rng.random(warmup + n))
-    w = rng.chisquare(_T_DOF, n)
+    log_u = np.log(rng.random(walk + n))
+    # z[walk:] over sqrt(chi^2_5 / 5): the batch's and the sampling
+    # phase's standard t draws
+    std_t = z[walk:] / np.sqrt(rng.chisquare(_T_DOF, quarter + n)
+                               / _T_DOF)[:, None]
 
     factor, gm = _unit_factor(factor)
     step *= gm
-    quarter = warmup // 4
     # the factor changes at each quarter of warmup: one product of
     # increments per segment
-    bounds = sorted({0, quarter, 2 * quarter, 3 * quarter, warmup})
+    bounds = sorted({0, quarter, 2 * quarter, walk})
     states, moves = [], 0
     for a, b in zip(bounds, bounds[1:]):
         if a:
-            factor, _ = _unit_factor(_moments(states)[1])
+            factor, _ = _unit_factor(_moments(states[len(states) // 2:])[1])
         # rows become float lists one at a time, which keeps fewer small
         # objects alive than converting the whole block
         for t, inc, lu in zip(range(a, b),
@@ -456,25 +471,28 @@ def _run_chain(log_density, log_density_rows, cfg: SamplerConfig,
             states.append(eta)
             step *= math.exp((t + 1.0) ** -0.6 * (
                 (1.0 if accept else 0.0) - _TARGET_ACCEPTANCE))
-    if moves / warmup < 1e-3:
+    if moves / walk < 1e-3:
         raise RuntimeError(
             f"chain {chain} rejected essentially every warmup proposal "
-            f"(acceptance {moves / warmup:.2e} over a warmup of {warmup}); "
-            f"the sampler is stuck at eta = {np.asarray(eta)}.  A short "
-            f"warmup can end before its first move: try a longer warmup "
-            f"(--warmup)")
+            f"(acceptance {moves / walk:.2e} in the {walk} random-walk "
+            f"steps over a warmup of {warmup}); the sampler is stuck at "
+            f"eta = {np.asarray(eta)}.  A short warmup can end before its "
+            f"first move: try a longer warmup (--warmup)")
+
+    mu, chol = _moments(states[len(states) // 2:])
+    batch = mu + std_t[:quarter] @ chol.T
+    log_w = log_density_rows(batch)[0] - _log_t(batch, mu, chol)
+    if np.isfinite(log_w).any():    # else the walk's moments stay
+        mu, chol = _moments(batch, np.exp(log_w - log_w.max()))
 
     # Row 0 holds the state warmup ended in, row t + 1 the proposal of step
     # t.  Step t accepts when [lp(eta') - lq(eta')] - [lp(eta) - lq(eta)]
     # >= log u, and every term but the current state's is known up front.
-    mu, chol = _moments(states)
-    scale = _T_INFLATION * chol
-    etas = np.vstack([eta, mu + (z[warmup:] / np.sqrt(w / _T_DOF)[:, None])
-                      @ scale.T])
+    etas = np.vstack([eta, mu + std_t[quarter:] @ chol.T])
     lp, ll = log_density_rows(etas)
-    weights = (lp - _log_t(etas, mu, scale)).tolist()
+    weights = (lp - _log_t(etas, mu, chol)).tolist()
     current, entered, rows = weights[0], [0], [0]
-    for t, weight, lu in zip(range(n), weights[1:], log_u[warmup:].tolist()):
+    for t, weight, lu in zip(range(n), weights[1:], log_u[walk:].tolist()):
         if weight - current >= lu:
             current = weight
             entered.append(t + 1)
@@ -487,9 +505,10 @@ def _run_chain(log_density, log_density_rows, cfg: SamplerConfig,
 
 def sample_posterior(model: ModelSpec, cfg: SamplerConfig) -> PosteriorDraws:
     """cfg.chains independent chains started as ``_start`` says, each
-    cfg.warmup adaptive random-walk steps and then cfg.samples_per_chain
-    independence Metropolis steps from a t proposal fitted to its warmup,
-    scored in one array call (see ``_run_chain``).
+    cfg.warmup warmup proposals (adaptive random-walk steps, then a batch
+    of warmup // 4 t proposals that refits the t by importance weights)
+    and then cfg.samples_per_chain independence Metropolis steps from that
+    t, scored in one array call (see ``_run_chain``).
 
     Each draw carries the order-statistics log-likelihood of its state.
     An order-statistics fit keeps the value its chain's array call gave

@@ -115,7 +115,7 @@ def _q_continued_fraction(a: float, x: float, lga: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _REL_EPS:
+        if delta == 1.0:    # the binary64 floats within _REL_EPS of 1
             return math.exp(scale) * h
     raise ArithmeticError(f"incomplete gamma fraction failed to converge: a={a}, x={x}")
 
@@ -176,11 +176,19 @@ def _p_series_array(a, x, lga):
                           f"a={a[stuck][0]}, x={x[stuck][0]}")
 
 
+def _floor_tiny(v, mag):
+    # v[|v| < _TINY] = _TINY in place, with mag as scratch; the masked
+    # assignment runs only when some |v| is below _TINY or NaN, which a
+    # Lentz step rarely meets
+    if not np.abs(v, out=mag).min() >= _TINY:
+        v[mag < _TINY] = _TINY
+
+
 def _q_continued_fraction_array(a, x, lga):
-    # _q_continued_fraction on 1-D arrays.  Each element's value is written
-    # at its first convergence, since h moves on after it; written elements
-    # ride along until they are at least half the live set, then leave
-    # together.
+    # _q_continued_fraction on 1-D arrays, updated in place.  Each
+    # element's value is written at its first convergence, since h moves on
+    # after it; written elements ride along until they are at least half
+    # the live set, then leave together.
     out = np.zeros(a.size)
     scale = _log_prefactor(a, x, lga)
     live = scale >= _LOG_UNDERFLOW
@@ -192,18 +200,22 @@ def _q_continued_fraction_array(a, x, lga):
     c = np.full(a.size, 1.0 / _TINY)
     d = 1.0 / b
     h = d.copy()
+    an, delta, mag = (np.empty(a.size) for _ in range(3))
     pending = np.ones(a.size, dtype=bool)
     for n in range(1, _MAX_ITER):
-        an = -n * (n - a)
+        np.subtract(n, a, out=an)
+        an *= -n
         b += 2.0
-        d = an * d + b
-        d[np.abs(d) < _TINY] = _TINY
-        c = b + an / c
-        c[np.abs(c) < _TINY] = _TINY
-        d = 1.0 / d
-        delta = d * c
+        d *= an
+        d += b
+        _floor_tiny(d, mag)
+        np.divide(an, c, out=c)
+        c += b
+        _floor_tiny(c, mag)
+        np.divide(1.0, d, out=d)
+        np.multiply(d, c, out=delta)
         h *= delta
-        done = pending & (np.abs(delta - 1.0) < _REL_EPS)
+        done = pending & (delta == 1.0)
         if done.any():
             done = np.flatnonzero(done)
             out[idx[done]] = np.exp(scale[done]) * h[done]
@@ -214,6 +226,7 @@ def _q_continued_fraction_array(a, x, lga):
                     return out
                 idx, a, x, scale = idx[keep], a[keep], x[keep], scale[keep]
                 b, c, d, h = b[keep], c[keep], d[keep], h[keep]
+                an, delta, mag = (v[:keep.size] for v in (an, delta, mag))
                 pending = np.ones(keep.size, dtype=bool)
     raise ArithmeticError(f"incomplete gamma fraction failed to converge: "
                           f"a={a[pending][0]}, x={x[pending][0]}")

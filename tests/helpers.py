@@ -319,3 +319,29 @@ def reference_predictive_cdf(pd, family, grid):
         mean[j] = values.mean()
         lo[j], hi[j] = np.quantile(values, (0.05, 0.95))
     return mean, lo, hi
+
+
+def pareto_khat(log_ratios):
+    """Pareto k-hat of the importance ratios exp(log_ratios) (Vehtari,
+    Simpson, Gelman, Yao & Gabry 2024, "Pareto smoothed importance
+    sampling", JMLR 25(72)): the generalized Pareto shape fitted to the
+    exceedances of the M = min(ceil(0.2 n), ceil(3 sqrt(n))) largest ratios
+    over the next largest, by the profile-likelihood posterior mean of
+    Zhang & Stephens 2009 (Technometrics 51(3)), then pulled towards 0.5
+    by the paper's weak prior, worth 10 observations.  Below 0.5 the
+    ratios have finite variance; above 0.7 they have no usable estimate of
+    it."""
+    lr = np.sort(np.asarray(log_ratios, dtype=float))
+    n = lr.size
+    tail = min(math.ceil(0.2 * n), math.ceil(3.0 * math.sqrt(n)))
+    ratios = np.exp(lr[-tail - 1:] - lr[-1])
+    x = ratios[1:] - ratios[0]              # ascending exceedances
+    m = 30 + int(math.sqrt(tail))
+    theta = (1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))) / (
+        3.0 * x[int(tail / 4 + 0.5) - 1]) + 1.0 / x[-1]
+    k = np.log1p(-theta[:, None] * x).mean(axis=1)
+    log_lik = tail * (np.log(-theta / k) - k - 1.0)
+    weights = 1.0 / np.exp(log_lik - log_lik[:, None]).sum(axis=1)
+    theta_hat = (theta * weights).sum() / weights.sum()
+    k_hat = float(np.log1p(-theta_hat * x).mean())
+    return (tail * k_hat + 10 * 0.5) / (tail + 10)

@@ -160,6 +160,19 @@ class TestIncompleteGamma:
                      special._q_continued_fraction_array):
             assert loop(empty, empty, empty).shape == (0,)
 
+    def test_fraction_convergence_is_delta_equal_to_one(self):
+        # the fractions stop at delta == 1.0, which in binary64 is the
+        # relative test |delta - 1| < _REL_EPS: the floats nearest 1 sit
+        # 2**-53 below and 2**-52 above it, both wider than 1e-17
+        below, above = [1.0], [1.0]
+        for _ in range(64):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], 2.0))
+        deltas = np.array(below[::-1] + above[1:])
+        assert np.unique(deltas).size == 129
+        np.testing.assert_array_equal(
+            np.abs(deltas - 1.0) < special._REL_EPS, deltas == 1.0)
+
     def test_log_gamma_runs_before_broadcasting(self, monkeypatch):
         # a as a (1, D) row against x as a (B, 1) column: ln Gamma runs on
         # the D values of a, and P, Q equal the call on broadcast arrays
